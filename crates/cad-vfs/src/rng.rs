@@ -1,10 +1,8 @@
 //! An in-tree SplitMix64 generator for deterministic tests.
 //!
-//! The property suites that used an external generator crate are gated
-//! behind the `proptest-suites` feature (off by default, offline
-//! builds have no registry access). The deterministic randomized tests
-//! that remain on by default draw from this generator instead: same
-//! seed, same sequence, on every host.
+//! The workspace's randomized tests (the `det_*` suites) draw from this
+//! generator instead of an external crate: same seed, same sequence,
+//! on every host, and no registry access needed to build them.
 
 /// SplitMix64 — the tiny splittable PRNG from Steele, Lea & Flood
 /// (OOPSLA 2014). One `u64` of state, full period, no dependencies.

@@ -1,6 +1,5 @@
-//! Deterministic randomized suite (SplitMix64-driven), covering the
-//! same ground as the gated `prop_vfs` proptest suite without any
-//! external dependency.
+//! Deterministic randomized suite (SplitMix64-driven) for the virtual
+//! file system: path round trips, write/read, copy and rename.
 
 use cad_vfs::{Blob, SplitMix64, Vfs, VfsPath};
 

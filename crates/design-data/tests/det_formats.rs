@@ -1,9 +1,11 @@
-//! Deterministic randomized suite (SplitMix64-driven), covering the
-//! same ground as the gated `prop_formats` proptest suite without any
-//! external dependency.
+//! Deterministic randomized suite (SplitMix64-driven): format round
+//! trips over generated designs, and parsers that never panic on
+//! corrupt design files.
 
 use cad_vfs::SplitMix64;
-use design_data::{format, generate, layout_hierarchy, schematic_hierarchy, Logic, Waveforms};
+use design_data::{
+    format, generate, layout_hierarchy, schematic_hierarchy, Logic, Stimulus, Waveforms,
+};
 
 #[test]
 fn netlist_format_round_trip() {
@@ -72,5 +74,49 @@ fn waveform_round_trip() {
         }
         let parsed = format::parse_waveforms(&format::write_waveforms(&w)).unwrap();
         assert_eq!(parsed, w);
+    }
+}
+
+/// Feeds one input to every design-file parser; each must answer Ok or
+/// Err, never panic.
+fn parse_everything(text: &str) {
+    let _ = format::parse_netlist(text);
+    let _ = format::parse_layout(text);
+    let _ = format::parse_symbol(text);
+    let _ = format::parse_waveforms(text);
+    let _ = Stimulus::parse(text);
+}
+
+/// Random printable characters, one line at most 40 long.
+fn printable_line(rng: &mut SplitMix64) -> String {
+    let len = rng.below(41);
+    (0..len)
+        .map(|_| char::from(b' ' + rng.below(95) as u8))
+        .collect()
+}
+
+/// No parser in the workspace may panic on arbitrary input: a
+/// framework must survive corrupt design files. Covers unstructured
+/// noise (including non-ASCII bytes) and inputs that open with a real
+/// format keyword but carry random lines.
+#[test]
+fn parsers_never_panic() {
+    let mut rng = SplitMix64::new(14);
+    for _ in 0..512 {
+        let len = rng.below(200);
+        parse_everything(&String::from_utf8_lossy(&rng.bytes(len)));
+        let lines = rng.below(20);
+        parse_everything(
+            &(0..lines)
+                .map(|_| printable_line(&mut rng) + "\n")
+                .collect::<String>(),
+        );
+        let keyword = ["netlist", "layout", "symbol", "waves", "stimulus"][rng.below(5)];
+        let mut text = format!("{keyword} x\n");
+        for _ in 0..rng.below(20) {
+            text.push_str(&printable_line(&mut rng));
+            text.push('\n');
+        }
+        parse_everything(&text);
     }
 }

@@ -1,8 +1,9 @@
-//! Deterministic randomized suite (SplitMix64-driven), covering the
-//! same ground as the gated `prop_fmcad` proptest suite: metadata
-//! persistence and the checkout protocol under random op sequences.
+//! Deterministic randomized suite (SplitMix64-driven): metadata
+//! persistence and the checkout protocol under random op sequences,
+//! and a `.meta` parser that never panics on corrupt files.
 
 use cad_vfs::SplitMix64;
+use fmcad::meta::LibraryMeta;
 use fmcad::{Fmcad, FmcadError};
 
 /// A random framework operation by one of three users on one of three
@@ -158,4 +159,44 @@ fn version_lists_are_sorted_and_default_is_known() {
             }
         }
     }
+}
+
+/// The `.meta` parser never panics on arbitrary input, and
+/// structured-garbage files (real record keywords, random fields)
+/// either fail cleanly or re-serialise without loss.
+#[test]
+fn meta_parser_never_panics_and_round_trips_whatever_parses() {
+    const KEYWORDS: &[&str] = &[
+        "cell", "view", "version", "default", "checkout", "config", "cvv",
+    ];
+    let mut rng = SplitMix64::new(33);
+    // A field is a short name or a small version number.
+    let field = |rng: &mut SplitMix64| {
+        if rng.chance(1, 2) {
+            rng.below(4).to_string()
+        } else {
+            let len = 1 + rng.below(4);
+            rng.ident(len)
+        }
+    };
+    let mut parsed = 0;
+    for _ in 0..512 {
+        let len = rng.below(200);
+        let _ = LibraryMeta::parse(&String::from_utf8_lossy(&rng.bytes(len)));
+        let mut text = String::from("meta lib\n");
+        for _ in 0..rng.below(15) {
+            text.push_str(KEYWORDS[rng.below(KEYWORDS.len())]);
+            for _ in 0..1 + rng.below(5) {
+                text.push(' ');
+                text.push_str(&field(&mut rng));
+            }
+            text.push('\n');
+        }
+        if let Ok(meta) = LibraryMeta::parse(&text) {
+            let again = LibraryMeta::parse(&meta.to_text()).expect("re-parse");
+            assert_eq!(again, meta, "{text}");
+            parsed += 1;
+        }
+    }
+    assert!(parsed > 32, "only {parsed} structured inputs parsed");
 }

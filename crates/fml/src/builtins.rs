@@ -322,7 +322,7 @@ fn numeric(op: &str, args: Vec<Value>) -> FmlResult<Value> {
                 if *b == 0 {
                     return Err(FmlError::DivisionByZero);
                 }
-                acc /= b;
+                acc = acc.wrapping_div(*b);
             }
             acc
         }
@@ -333,7 +333,7 @@ fn numeric(op: &str, args: Vec<Value>) -> FmlResult<Value> {
             if rest[0] == 0 {
                 return Err(FmlError::DivisionByZero);
             }
-            first.rem_euclid(rest[0])
+            first.wrapping_rem_euclid(rest[0])
         }
         "min" => nums.iter().copied().min().expect("non-empty"),
         "max" => nums.iter().copied().max().expect("non-empty"),

@@ -823,8 +823,17 @@ impl<'g> Compiler<'g> {
                     self.cur().set_ready(slot);
                     slots.push(slot);
                 }
+                // A name bound twice shares one slot; the last binding
+                // wins (as in the tree-walker), so the first pop binds
+                // it and the earlier values are dropped.
+                let mut bound = Vec::with_capacity(slots.len());
                 for slot in slots.into_iter().rev() {
-                    self.cur().emit(Instr::BindLocal(slot));
+                    if bound.contains(&slot) {
+                        self.cur().emit(Instr::Pop);
+                    } else {
+                        self.cur().emit(Instr::BindLocal(slot));
+                        bound.push(slot);
+                    }
                 }
                 self.sequence(&items[2..])?;
                 let f = self.cur();

@@ -385,13 +385,13 @@ impl<'a> Machine<'a> {
                                         if y == 0 {
                                             return Err(FmlError::DivisionByZero);
                                         }
-                                        Value::Int(x / y)
+                                        Value::Int(x.wrapping_div(y))
                                     }
                                     FastOp::Mod => {
                                         if y == 0 {
                                             return Err(FmlError::DivisionByZero);
                                         }
-                                        Value::Int(x.rem_euclid(y))
+                                        Value::Int(x.wrapping_rem_euclid(y))
                                     }
                                     FastOp::Lt => Value::Bool(x < y),
                                     FastOp::Le => Value::Bool(x <= y),

@@ -1,9 +1,9 @@
-//! Deterministic randomized suite (SplitMix64-driven), covering the
-//! same ground as the gated `prop_fml` proptest suite without any
-//! external dependency.
+//! Deterministic randomized suite (SplitMix64-driven) for the
+//! extension language: print/read round trips, arithmetic, loops and
+//! robustness against arbitrary scripts.
 
 use cad_vfs::SplitMix64;
-use fml::{parse, Interp, NoHost, Value};
+use fml::{parse, ExecMode, Interp, NoHost, Value};
 
 /// A random printable expression tree (no procedures).
 fn random_expr(rng: &mut SplitMix64, depth: usize) -> Value {
@@ -66,5 +66,79 @@ fn loop_sum_matches_closed_form() {
         );
         let v = Interp::new().run(&src, &mut NoHost).unwrap();
         assert!(matches!(v, Value::Int(i) if i == n * (n - 1) / 2));
+    }
+}
+
+/// No script panics the interpreter in either mode: it may error or
+/// run out of fuel, both are fine. Half the inputs are printable
+/// noise, half are soups of the language's own tokens, which reach
+/// far deeper into the evaluator.
+#[test]
+fn fml_never_panics() {
+    const TOKENS: &[&str] = &[
+        "(",
+        "(",
+        ")",
+        ")",
+        "'",
+        "\"s\"",
+        "#t",
+        "#f",
+        "x",
+        "y",
+        "f",
+        "0",
+        "1",
+        "-1",
+        "7",
+        "-9223372036854775808",
+        "9223372036854775807",
+        "+",
+        "-",
+        "*",
+        "/",
+        "mod",
+        "<",
+        "=",
+        "let",
+        "define",
+        "lambda",
+        "set!",
+        "if",
+        "cond",
+        "while",
+        "and",
+        "or",
+        "quote",
+        "list",
+        "first",
+        "rest",
+        "apply",
+        "reduce",
+        "range",
+        "string-append",
+    ];
+    let mut rng = SplitMix64::new(0xF33D_1995);
+    for case in 0..400 {
+        let src: String = if case % 2 == 0 {
+            let len = rng.below(201);
+            (0..len)
+                .map(|_| match rng.below(96) {
+                    95 => '\n',
+                    c => char::from(b' ' + c as u8),
+                })
+                .collect()
+        } else {
+            let len = rng.below(60);
+            (0..len)
+                .map(|_| TOKENS[rng.below(TOKENS.len())])
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        for mode in [ExecMode::Vm, ExecMode::TreeWalk] {
+            let mut interp = Interp::with_mode(mode);
+            interp.set_fuel(50_000);
+            let _ = interp.run(&src, &mut NoHost);
+        }
     }
 }

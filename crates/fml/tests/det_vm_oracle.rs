@@ -307,6 +307,21 @@ fn semantic_corner_cases_agree() {
     ] {
         assert_parity(src);
     }
+    // Corners where the modes once disagreed or panicked, pinned to
+    // the value both must give.
+    for (src, expected) in [
+        // Division and mod wrap like + - *: i64::MIN / -1 overflows.
+        ("(/ -9223372036854775808 -1)", "-9223372036854775808"),
+        ("(mod -9223372036854775808 -1)", "0"),
+        ("(mod 7 -1)", "0"),
+        // A name bound twice in one let: the last binding wins.
+        ("(let ((x 1) (x 2)) x)", "2"),
+    ] {
+        for mode in [ExecMode::Vm, ExecMode::TreeWalk] {
+            let (outcome, _, _) = observe(src, mode, ORACLE_FUEL);
+            assert_eq!(outcome, Ok(expected.to_owned()), "{mode:?} on {src}");
+        }
+    }
 }
 
 #[test]

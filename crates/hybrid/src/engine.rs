@@ -27,6 +27,7 @@ use jcf::{
     Jcf, ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
 };
 
+use crate::codec::{hex, unhex};
 use crate::consistency::ConsistencyFinding;
 use crate::encapsulation::{ToolOutput, ToolSession};
 use crate::error::{HybridError, HybridResult};
@@ -1270,24 +1271,6 @@ impl Engine {
 }
 
 // --- persistence: checkpoint ⊕ replay ---------------------------------------
-
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
-}
 
 fn unhex_str(s: &str) -> HybridResult<String> {
     String::from_utf8(unhex(s).ok_or_else(|| HybridError::Journal("bad hex".to_owned()))?)

@@ -266,12 +266,8 @@ impl HistoryView {
 /// How a [`Workspace`] reaches the write path when it merges forward.
 #[derive(Debug, Clone)]
 pub(crate) enum MergeBackend {
-    /// Through a single-engine [`Service`](crate::Service) on behalf
-    /// of the opening session.
-    Single {
-        service: crate::Service,
-        session: u64,
-    },
+    /// Through a single-engine [`Service`](crate::Service).
+    Single(crate::Service),
     /// Through the sharded front-end.
     Sharded(crate::ShardedService),
 }
@@ -416,7 +412,7 @@ impl Workspace {
             writes: self.staged,
         };
         match self.backend {
-            MergeBackend::Single { service, session } => service.submit_from(session, op),
+            MergeBackend::Single(service) => service.submit(op),
             MergeBackend::Sharded(service) => service.submit(op),
         }
     }

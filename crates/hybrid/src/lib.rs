@@ -83,6 +83,7 @@ mod framework;
 mod future;
 mod history;
 mod import;
+mod lane;
 pub mod mapping;
 mod ops;
 mod release;

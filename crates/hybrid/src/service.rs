@@ -3,19 +3,22 @@
 //! The paper's system was inherently multi-user: several designers
 //! drive the coupled frameworks at once, each through their own JCF
 //! desktop session. This module reproduces that shape as a
-//! thread-safe service with a sharded read/write discipline:
+//! thread-safe service: one group-commit [`Lane`] (shared with every
+//! shard of [`ShardedService`](crate::ShardedService)) plus per-session
+//! event fan-out and the time-travel history ring.
 //!
-//! * **Reads are snapshot reads.** The service keeps a published
+//! * **Reads are snapshot reads.** The lane keeps a published
 //!   [`Snapshot`] (an immutable view over the OMS database and the
 //!   coupling state); `browse`, `read_design_data` and arbitrary
 //!   queries run against it with `&self`, in parallel, with zero byte
 //!   copies — concurrent readers share [`cad_vfs::Blob`] handles.
-//! * **Writes are group-committed.** All mutations funnel into a
-//!   batched apply queue. The first writer to arrive becomes the
-//!   *leader*: it drains every queued op in one engine critical
-//!   section, fills each submitter's result slot, republishes the
-//!   snapshot once per batch and fans the emitted events out to every
-//!   session's subscription queue. Followers just park on their slot.
+//! * **Writes are group-committed.** All mutations funnel into the
+//!   lane's batched queue. The first writer to arrive leads: it
+//!   applies every queued op in one engine critical section, offers
+//!   each committed seq to the history ring, republishes the snapshot
+//!   once per batch and fans the batch's events out to every
+//!   session's subscription queue before any submitter wakes.
+//!   Followers just park on their slot.
 //!
 //! The effect is the classic group-commit trade: writers pay one lock
 //! handoff per *batch* instead of per op, and readers never wait on
@@ -39,7 +42,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use cad_vfs::Blob;
 use jcf::{CellId, CellVersionId, DovId, FlowId, ProjectId, TeamId, UserId, VariantId};
@@ -49,86 +52,17 @@ use crate::error::{HybridError, HybridResult};
 use crate::events::Event;
 use crate::framework::StandardFlow;
 use crate::history::{HistoryRing, HistoryView, MergeBackend, RetentionPolicy, Workspace};
+use crate::lane::{lock, Lane, Outcome};
 use crate::ops::Op;
 use crate::snapshot::Snapshot;
-
-/// Lock a mutex, riding through poisoning: a writer that panicked
-/// mid-batch must not take the whole service down with it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A session's private queue of committed `(seq, event)` pairs.
 type EventQueue = Arc<Mutex<VecDeque<(u64, Event)>>>;
 
-/// One submitted op waiting for its batch to commit. The filled
-/// result carries the engine sequence number the op committed (or,
-/// for failed ops, journaled) at.
-struct Slot {
-    result: Mutex<Option<HybridResult<(u64, Event)>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: HybridResult<(u64, Event)>) {
-        *lock(&self.result) = Some(result);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> HybridResult<(u64, Event)> {
-        let mut guard = lock(&self.result);
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// The batched apply queue. `draining` marks that a leader is inside
-/// the engine critical section; writers that arrive meanwhile enqueue
-/// and either park (followers) or take over leadership once the
-/// current leader hands the engine back.
-struct Queue {
-    pending: Vec<(Op, Arc<Slot>, u64)>,
-    draining: bool,
-}
-
-/// Running counters of the service's concurrency behaviour; all
-/// monotone, all cheap (relaxed atomics).
-#[derive(Debug, Default)]
-struct Stats {
-    /// Ops committed through the write queue.
-    ops: AtomicU64,
-    /// Engine critical sections (group commits).
-    batches: AtomicU64,
-    /// Largest single batch.
-    max_batch: AtomicU64,
-    /// Writers that parked as followers instead of leading.
-    writer_waits: AtomicU64,
-    /// Snapshot reads that found the publish lock briefly held.
-    reader_waits: AtomicU64,
-    /// Ops currently enqueued but not yet taken by a leader (gauge,
-    /// the BUSY-threshold signal of the network front-end).
-    queue_depth: AtomicU64,
-    /// Deepest the pending queue has ever been.
-    max_queue_depth: AtomicU64,
-}
-
-/// A point-in-time copy of the service's concurrency counters.
+/// A point-in-time copy of a write lane's concurrency counters.
 ///
-/// Returned by [`Service::stats`]; the E12 benchmark reports these.
+/// Returned by [`Service::stats`] for the service's one lane; the E12
+/// benchmark reports these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServiceStats {
@@ -150,14 +84,7 @@ pub struct ServiceStats {
 }
 
 struct Inner {
-    engine: Mutex<Engine>,
-    queue: Mutex<Queue>,
-    /// The published read view; replaced (not mutated) once per batch.
-    snapshot: Mutex<Arc<Snapshot>>,
-    /// Sequence number of the published snapshot, for cheap staleness
-    /// checks: sessions revalidate their cached view against this
-    /// atomic instead of taking the snapshot lock on every read.
-    published_seq: AtomicU64,
+    lane: Lane<Op>,
     /// Per-session event queues, keyed by session id.
     subscribers: Mutex<Vec<(u64, EventQueue)>>,
     /// The time-travel retention ring: recently published snapshots by
@@ -165,7 +92,6 @@ struct Inner {
     /// committed op); history reads clone an `Arc` out and leave.
     history: Mutex<HistoryRing<Arc<Snapshot>>>,
     next_session: AtomicU64,
-    stats: Stats,
     admin: UserId,
 }
 
@@ -199,23 +125,14 @@ impl Service {
     /// Like [`Service::new`] with an explicit history retention policy.
     pub fn with_retention(engine: Engine, policy: RetentionPolicy) -> Service {
         let admin = engine.admin();
-        let seq = engine.seq();
-        let snapshot = engine.snapshot();
         let mut history = HistoryRing::new(policy);
-        history.observe(seq, Arc::clone(&snapshot));
+        history.observe(engine.seq(), engine.snapshot());
         Service {
             inner: Arc::new(Inner {
-                engine: Mutex::new(engine),
-                queue: Mutex::new(Queue {
-                    pending: Vec::new(),
-                    draining: false,
-                }),
-                snapshot: Mutex::new(snapshot),
-                published_seq: AtomicU64::new(seq),
+                lane: Lane::new(engine),
                 subscribers: Mutex::new(Vec::new()),
                 history: Mutex::new(history),
                 next_session: AtomicU64::new(1),
-                stats: Stats::default(),
                 admin,
             }),
         }
@@ -246,31 +163,12 @@ impl Service {
     /// returned (and the brush with the lock is counted as a
     /// `reader_wait`).
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        match self.inner.snapshot.try_lock() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.inner
-                    .stats
-                    .reader_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                Arc::clone(&lock(&self.inner.snapshot))
-            }
-            Err(std::sync::TryLockError::Poisoned(p)) => Arc::clone(&p.into_inner()),
-        }
+        self.inner.lane.snapshot()
     }
 
     /// A copy of the service's concurrency counters.
     pub fn stats(&self) -> ServiceStats {
-        let s = &self.inner.stats;
-        ServiceStats {
-            ops: s.ops.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
-            max_batch: s.max_batch.load(Ordering::Relaxed),
-            writer_waits: s.writer_waits.load(Ordering::Relaxed),
-            reader_waits: s.reader_waits.load(Ordering::Relaxed),
-            queue_depth: s.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: s.max_queue_depth.load(Ordering::Relaxed),
-        }
+        self.inner.lane.stats()
     }
 
     /// The current write-queue depth: ops enqueued but not yet taken
@@ -278,17 +176,18 @@ impl Service {
     /// per-request saturation check (the network front-end's BUSY
     /// threshold).
     pub fn queue_depth(&self) -> u64 {
-        self.inner.stats.queue_depth.load(Ordering::Relaxed)
+        self.inner.lane.queue_depth()
     }
 
     /// Runs a closure against the engine under the write lock, outside
     /// the batching queue. For maintenance paths (checkpointing, fault
     /// arming) that need the whole engine, not one op.
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Engine) -> R) -> R {
-        let mut engine = lock(&self.inner.engine);
+        let lane = &self.inner.lane;
+        let mut engine = lane.engine();
         let out = f(&mut engine);
         lock(&self.inner.history).observe(engine.seq(), engine.snapshot());
-        self.republish(&engine);
+        lane.publish(&engine);
         out
     }
 
@@ -302,100 +201,29 @@ impl Service {
     ///
     /// Returns whatever the op returns on the engine.
     pub fn submit(&self, op: Op) -> HybridResult<(u64, Event)> {
-        self.submit_from(0, op)
-    }
-
-    /// Submits one op on behalf of session `session`.
-    pub(crate) fn submit_from(&self, session: u64, op: Op) -> HybridResult<(u64, Event)> {
-        let slot = Slot::new();
-        let lead = {
-            let mut queue = lock(&self.inner.queue);
-            queue.pending.push((op, Arc::clone(&slot), session));
-            let depth = queue.pending.len() as u64;
-            self.inner.stats.queue_depth.store(depth, Ordering::Relaxed);
-            self.inner
-                .stats
-                .max_queue_depth
-                .fetch_max(depth, Ordering::Relaxed);
-            if queue.draining {
-                // A leader is already inside the engine; it (or the
-                // next leader) will pick this op up.
-                self.inner
-                    .stats
-                    .writer_waits
-                    .fetch_add(1, Ordering::Relaxed);
-                false
-            } else {
-                queue.draining = true;
-                true
-            }
-        };
-        if lead {
-            self.drain();
-        }
-        slot.wait()
-    }
-
-    /// Leader path: repeatedly swap out the pending queue and commit
-    /// it as one batch, until no ops remain; then hand leadership back.
-    fn drain(&self) {
-        let mut engine = lock(&self.inner.engine);
-        loop {
-            let batch = {
-                let mut queue = lock(&self.inner.queue);
-                if queue.pending.is_empty() {
-                    queue.draining = false;
-                    break;
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            let size = batch.len() as u64;
-            let stats = &self.inner.stats;
-            stats.queue_depth.store(0, Ordering::Relaxed);
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.ops.fetch_add(size, Ordering::Relaxed);
-            stats.max_batch.fetch_max(size, Ordering::Relaxed);
-            let mut fanout = Vec::new();
-            let mut results = Vec::new();
-            for (op, slot, session) in batch {
+        let lane = &self.inner.lane;
+        lane.submit(
+            op,
+            |engine, op| {
                 let result = engine.apply(op);
                 let seq = engine.seq();
-                if let Ok(event) = &result {
-                    fanout.push((session, seq, event.clone()));
-                }
                 // Offer every committed seq to the retention ring —
                 // O(1) per op (the snapshot cache hands back one Arc
                 // per seq) and entirely off the read path.
                 lock(&self.inner.history).observe(seq, engine.snapshot());
-                results.push((slot, result.map(|event| (seq, event))));
-            }
-            // One republish and one fan-out per batch, not per op — and
-            // the republish happens before any submitter wakes, so every
-            // writer sees its own committed write in the next snapshot
-            // it reads (read-your-writes).
-            self.republish(&engine);
-            for (slot, result) in results {
-                slot.fill(result);
-            }
-            self.fan_out(&fanout);
-        }
+                result.map(|event| (seq, event))
+            },
+            |outcomes| self.fan_out(outcomes),
+        )
     }
 
-    /// Replaces the published snapshot with the engine's current state.
-    fn republish(&self, engine: &Engine) {
-        *lock(&self.inner.snapshot) = engine.snapshot();
-        self.inner
-            .published_seq
-            .store(engine.seq(), Ordering::Release);
-    }
-
-    /// Delivers committed events to every session's queue (including
-    /// the submitter's own).
-    fn fan_out(&self, events: &[(u64, u64, Event)]) {
+    /// Delivers a batch's committed events to every session's queue
+    /// (including the submitter's own); failed ops fan out nothing.
+    fn fan_out(&self, outcomes: &[Outcome]) {
         let subscribers = lock(&self.inner.subscribers);
         for (_, queue) in subscribers.iter() {
             let mut queue = lock(queue);
-            for (_session, seq, event) in events {
+            for (seq, event) in outcomes.iter().flatten() {
                 queue.push_back((*seq, event.clone()));
             }
         }
@@ -493,7 +321,7 @@ impl Session {
     }
 
     fn refresh(&self, cache: &mut Option<Arc<Snapshot>>) {
-        let published = self.service.inner.published_seq.load(Ordering::Acquire);
+        let published = self.service.inner.lane.published_seq();
         let stale = cache.as_ref().is_none_or(|s| s.seq() != published);
         if stale {
             *cache = Some(self.service.snapshot());
@@ -525,7 +353,7 @@ impl Session {
     ///
     /// Returns whatever the op returns on the engine.
     pub fn apply_seq(&self, op: Op) -> HybridResult<(u64, Event)> {
-        self.service.submit_from(self.id, op)
+        self.service.submit(op)
     }
 
     /// This session's reads against the snapshot retained at commit
@@ -554,10 +382,7 @@ impl Session {
     pub fn reserve_at(&self, cv: CellVersionId, seq: u64) -> HybridResult<Workspace> {
         let base = self.service.at(seq)?;
         Ok(Workspace::open(
-            MergeBackend::Single {
-                service: self.service.clone(),
-                session: self.id,
-            },
+            MergeBackend::Single(self.service.clone()),
             self.user,
             cv,
             &base,

@@ -9,10 +9,11 @@
 //!   partition. Partition names hash to shards with a pure FNV-1a
 //!   placement function ([`shard_of_name`]), so routing at submit time
 //!   needs no registry lookup for name-keyed ops.
-//! * **Per-shard leader/follower write queues** replicate the group
-//!   commit discipline of [`Service`](crate::Service): one lane per
-//!   shard, each with its own engine lock, batch queue and published
-//!   snapshot.
+//! * **One group-commit lane per shard.** Each shard is the same
+//!   leader/follower lane [`Service`](crate::Service) is built from,
+//!   with its own engine lock, batch queue, published snapshot and
+//!   counters. A lane's batch runs each op's plan through one plan
+//!   executor, which recovery replay shares (see *Persistence*).
 //! * **Per-shard append-only journals** record every op in *envelope*
 //!   form (the virtual-id op plus its global commit sequence) before
 //!   the engine applies it, so restart replay reproduces successes
@@ -67,7 +68,11 @@
 //! new epoch and flips `CURRENT` atomically; [`ShardedService::sync`]
 //! rewrites the journals (whole-file atomic, ascending shard order);
 //! [`ShardedService::recover`] merges the journals by commit sequence
-//! and replays through the router.
+//! and replays them through the same plan executor as live commits,
+//! with the recorded sequence forced. The executor varies only in how
+//! it reaches the router (locked and timed live, owned during replay)
+//! and where it charges engine time; it never holds the router across
+//! an engine apply.
 //!
 //! # Simplifications
 //!
@@ -79,7 +84,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use cad_vfs::{Blob, Vfs, VfsPath};
@@ -87,14 +92,17 @@ use jcf::{
     ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
     ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
 };
+use oms::persist::{fnv64, fnv64_seeded};
 use oms::{PMap, PmapKey};
 
+use crate::codec;
 use crate::engine::{Engine, RecoveryReport};
 use crate::error::{HybridError, HybridResult};
 use crate::events::{Event, MergeConflict};
 use crate::framework::{MirrorLocation, StagingMode, StandardFlow};
 use crate::future::FutureFeatures;
 use crate::history::{HistoryRing, RetentionPolicy, Workspace};
+use crate::lane::{lock, Lane, Outcome};
 use crate::ops::Op;
 use crate::snapshot::Snapshot;
 
@@ -112,13 +120,6 @@ const ROUTER_META: &str = "router.meta";
 /// Per-epoch record of where each shard's engine chain stood when the
 /// epoch was committed: `Engine::recover_at` targets at recovery time.
 const EPOCH_META: &str = "epoch.meta";
-
-/// Lock a mutex, riding through poisoning (same policy as
-/// [`Service`](crate::Service): a panicked writer must not take the
-/// whole service down).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The design objects `event` created implicitly (an activity's first
 /// output for a viewtype), shard-local ids in order of each object's
@@ -142,38 +143,12 @@ fn fresh_activity_objects(engine: &Engine, event: &Event) -> Vec<u64> {
     fresh
 }
 
-/// FNV-1a 64, the router's placement and fingerprint hash.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The pure placement function: which shard owns the partition named
 /// `name` when `nshards` shards exist. Stable across restarts (it is
 /// a function of the name alone), so submit-time routing needs no
 /// registry lookup.
 pub fn shard_of_name(name: &str, nshards: usize) -> usize {
     (fnv64(name.as_bytes()) % nshards.max(1) as u64) as usize
-}
-
-fn hex_encode(s: &str) -> String {
-    s.bytes().map(|b| format!("{b:02x}")).collect()
-}
-
-fn hex_decode(s: &str) -> Result<String, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex field {s:?}"));
-    }
-    let mut bytes = Vec::with_capacity(s.len() / 2);
-    for i in (0..s.len()).step_by(2) {
-        let b = u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| format!("bad hex: {e}"))?;
-        bytes.push(b);
-    }
-    String::from_utf8(bytes).map_err(|e| format!("hex field is not utf-8: {e}"))
 }
 
 fn map_oms(e: oms::OmsError) -> HybridError {
@@ -784,7 +759,7 @@ impl ShardRouter {
         op: &Op,
         forced: Option<u64>,
     ) -> Result<(u64, Op, u32, bool), String> {
-        let translated = self.translate(op, shard)?;
+        let (seq, translated) = self.pre_local(shard, op, forced)?;
         let (part, fresh) = match self.parts.get(name) {
             Some(&existing) => (existing, false),
             None => {
@@ -795,11 +770,6 @@ impl ShardRouter {
                 (part, true)
             }
         };
-        let seq = self.assign_seq(forced);
-        self.logs[shard].push(EnvelopeRecord::Local {
-            seq,
-            op: op.clone(),
-        });
         Ok((seq, translated, part, fresh))
     }
 
@@ -878,8 +848,22 @@ impl ShardRouter {
 
     // -- event absorption (local → vid, with registration) -----------------
 
-    fn absorb_local(&mut self, seq: u64, shard: usize, part: Option<u32>, event: &Event) -> Event {
-        self.translate_outcome(seq, std::slice::from_ref(event), Some((shard, part)))
+    /// Absorbs a local apply outcome, also registering vids for the
+    /// design objects an activity created implicitly (`objects`, from
+    /// [`fresh_activity_objects`]; no event carries them).
+    fn absorb_local(
+        &mut self,
+        seq: u64,
+        shard: usize,
+        part: Option<u32>,
+        event: &Event,
+        objects: &[u64],
+    ) -> Event {
+        let virt = self.translate_outcome(seq, std::slice::from_ref(event), Some((shard, part)));
+        if let Event::ActivityRun { dovs } = event {
+            self.register_activity_objects(seq, part, dovs.len() as u64, objects);
+        }
+        virt
     }
 
     /// Registers virtual ids for the design objects an activity created
@@ -905,10 +889,6 @@ impl ShardRouter {
                 VirtEntry::Sharded { part, local },
             );
         }
-    }
-
-    fn absorb_bcast(&mut self, seq: u64, events: &[Event]) -> Event {
-        self.translate_outcome(seq, events, None)
     }
 
     /// Translates an apply outcome into virtual-id form, allocating
@@ -1122,7 +1102,7 @@ impl ShardRouter {
             lines.push(format!(
                 "part|idx={idx}|shard={}|name={}",
                 self.part_shard[idx],
-                hex_encode(name)
+                codec::enc_str(name)
             ));
         }
         for (vid, entry) in self.forward.iter() {
@@ -1188,7 +1168,11 @@ impl ShardRouter {
                 "part" => {
                     let idx: u32 = num(&map, "idx")?;
                     let shard: u32 = num(&map, "shard")?;
-                    let name = hex_decode(map.get("name").ok_or("part line missing name")?)?;
+                    let name = map
+                        .get("name")
+                        .and_then(|hex| codec::unhex(hex))
+                        .and_then(|bytes| String::from_utf8(bytes).ok())
+                        .ok_or_else(|| format!("part line without a hex name: {line:?}"))?;
                     router.parts.insert(name, idx);
                     router.part_shard.insert(idx, shard);
                 }
@@ -1221,98 +1205,139 @@ impl ShardRouter {
     /// FNV-1a fold over the rendered router image — the router's
     /// contribution to [`ShardedService::state_fingerprint`].
     fn fingerprint(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = oms::persist::FNV_OFFSET;
         for line in self.meta_lines(self.epoch) {
-            for &b in line.as_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0x1f;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = fnv64_seeded(fnv64_seeded(h, line.as_bytes()), &[0x1f]);
         }
         format!("{h:016x}")
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard write lanes (group commit, leader/follower)
+// The plan executor: live commits and journal replay
 // ---------------------------------------------------------------------------
 
-/// One submitted op waiting for its lane's batch to commit.
-struct Slot {
-    result: Mutex<Option<HybridResult<(u64, Event)>>>,
-    ready: Condvar,
+/// How the plan executor reaches the router and where it charges
+/// engine time. The live service locks and times the router and
+/// charges each lane's busy counter; recovery replay owns the router
+/// outright and charges nothing.
+trait PlanAccess {
+    /// Runs `f` against the router.
+    fn route<R>(&mut self, f: impl FnOnce(&mut ShardRouter) -> R) -> R;
+
+    /// Applies a translated op on shard `shard`'s engine.
+    fn apply(&mut self, shard: usize, engine: &mut Engine, op: Op) -> HybridResult<Event>;
 }
 
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
+impl PlanAccess for ShardRouter {
+    fn route<R>(&mut self, f: impl FnOnce(&mut ShardRouter) -> R) -> R {
+        f(self)
     }
 
-    fn fill(&self, result: HybridResult<(u64, Event)>) {
-        *lock(&self.result) = Some(result);
-        self.ready.notify_one();
+    fn apply(&mut self, _shard: usize, engine: &mut Engine, op: Op) -> HybridResult<Event> {
+        engine.apply(op)
+    }
+}
+
+impl PlanAccess for &ShardedService {
+    fn route<R>(&mut self, f: impl FnOnce(&mut ShardRouter) -> R) -> R {
+        self.with_router(f)
     }
 
-    fn wait(&self) -> HybridResult<(u64, Event)> {
-        let mut guard = lock(&self.result);
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
+    fn apply(&mut self, shard: usize, engine: &mut Engine, op: Op) -> HybridResult<Event> {
+        self.inner.lanes[shard].apply(engine, op)
+    }
+}
+
+/// Executes a `One`, `NewPart` or `AllShards` plan, live or in replay
+/// (`forced` carries the recorded sequence). `engines` are the target
+/// engines: the owning shard's alone, or every shard's in index order
+/// for a broadcast.
+///
+/// The router assigns the sequence, journals the envelope record and
+/// translates the op; the engines apply it with the router released;
+/// the router then absorbs the outcome into virtual-id form. The outer
+/// error is a routing failure, which journals nothing; the inner
+/// result is the op's own outcome. A failed op keeps its journal
+/// record, so replay reproduces the rejection in commit order.
+fn execute_plan(
+    access: &mut impl PlanAccess,
+    engines: &mut [&mut Engine],
+    op: &Op,
+    plan: RoutePlan,
+    forced: Option<u64>,
+) -> Result<Outcome, String> {
+    let (shard, seq, translated, part, created) = match plan {
+        RoutePlan::One { shard, part } => {
+            let (seq, translated) = access.route(|r| r.pre_local(shard, op, forced))?;
+            (shard, seq, translated, part, None)
+        }
+        RoutePlan::NewPart { shard, name } => {
+            let (seq, translated, part, fresh) =
+                access.route(|r| r.pre_new_part(shard, &name, op, forced))?;
+            (
+                shard,
+                seq,
+                translated,
+                Some(part),
+                fresh.then_some((name, part)),
+            )
+        }
+        RoutePlan::AllShards => {
+            let (seq, translated) = access.route(|r| r.pre_bcast(op, forced))?;
+            let mut events = Vec::with_capacity(translated.len());
+            let mut failure = None;
+            for (shard, (engine, translated)) in engines.iter_mut().zip(translated).enumerate() {
+                match access.apply(shard, engine, translated) {
+                    Ok(event) => events.push(event),
+                    Err(e) => {
+                        failure.get_or_insert(e);
+                    }
+                }
             }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
+            return Ok(match failure {
+                None => Ok((
+                    seq,
+                    access.route(|r| r.translate_outcome(seq, &events, None)),
+                )),
+                // Broadcast state is identical on every shard, so every
+                // engine rejected with the same error.
+                Some(e) if events.is_empty() => Err(e),
+                Some(_) => Err(HybridError::Journal(
+                    "broadcast outcome diverged across shards".into(),
+                )),
+            });
         }
-    }
-}
-
-/// A lane's batched apply queue; `draining` marks that a leader is
-/// inside the lane's engine critical section.
-struct Queue {
-    pending: Vec<(Op, RoutePlan, Arc<Slot>)>,
-    draining: bool,
-}
-
-/// One write lane: a partition engine plus its group-commit queue,
-/// published snapshot and busy-time counters.
-struct Lane {
-    engine: Mutex<Engine>,
-    queue: Mutex<Queue>,
-    /// The lane's published read view; replaced once per batch.
-    snapshot: Mutex<Arc<Snapshot>>,
-    /// Nanoseconds spent inside the engine critical section *applying*
-    /// ops (lock wait excluded) — the numerator of the E14
-    /// critical-path throughput model.
-    busy_ns: AtomicU64,
-    ops: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
-    writer_waits: AtomicU64,
-}
-
-impl Lane {
-    fn new(engine: Engine) -> Lane {
-        let snapshot = engine.snapshot();
-        Lane {
-            engine: Mutex::new(engine),
-            queue: Mutex::new(Queue {
-                pending: Vec::new(),
-                draining: false,
-            }),
-            snapshot: Mutex::new(snapshot),
-            busy_ns: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            writer_waits: AtomicU64::new(0),
+        RoutePlan::Cross { .. } => {
+            return Err(format!(
+                "{} is cross-partition and commits through two-phase commit",
+                op.kind_name()
+            ))
         }
-    }
+    };
+    let engine = &mut *engines[0];
+    Ok(match access.apply(shard, engine, translated) {
+        Ok(event) => {
+            let objects = fresh_activity_objects(engine, &event);
+            Ok((
+                seq,
+                access.route(|r| r.absorb_local(seq, shard, part, &event, &objects)),
+            ))
+        }
+        Err(e) => {
+            if let Some((name, part)) = created {
+                // The index stays burned; only the name mapping rolls
+                // back.
+                access.route(|r| r.rollback_part(&name, part));
+            }
+            Err(e)
+        }
+    })
 }
+
+// ---------------------------------------------------------------------------
+// The live service
+// ---------------------------------------------------------------------------
 
 /// A point-in-time copy of one write lane's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1354,7 +1379,8 @@ pub struct ShardStats {
 }
 
 struct ShardInner {
-    lanes: Vec<Lane>,
+    /// One group-commit lane per shard; a job is an op with its plan.
+    lanes: Vec<Lane<(Op, RoutePlan)>>,
     router: Mutex<ShardRouter>,
     /// Serial time inside the router lock (post-acquisition only).
     router_ns: AtomicU64,
@@ -1436,14 +1462,11 @@ impl ShardedService {
     }
 
     /// Ops currently queued (not yet committed) across all write
-    /// lanes. The network front-end samples this to decide when to
-    /// answer `busy` instead of accepting more work.
+    /// lanes: one atomic load per lane. The network front-end samples
+    /// this to decide when to answer `busy` instead of accepting more
+    /// work.
     pub fn queue_depth(&self) -> u64 {
-        self.inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.queue).pending.len() as u64)
-            .sum()
+        self.inner.lanes.iter().map(Lane::queue_depth).sum()
     }
 
     /// Opens a session acting as `user`.
@@ -1473,7 +1496,7 @@ impl ShardedService {
     /// Replaces lane `i`'s published snapshot and bumps the view
     /// version.
     fn publish_lane(&self, i: usize, engine: &Engine) {
-        *lock(&self.inner.lanes[i].snapshot) = engine.snapshot();
+        self.inner.lanes[i].publish(engine);
         self.inner.version.fetch_add(1, Ordering::Release);
     }
 
@@ -1484,178 +1507,22 @@ impl ShardedService {
         let plan = self
             .with_router(|r| r.plan(&op))
             .map_err(HybridError::ShardRouting)?;
-        let home = plan.home();
-        let slot = Slot::new();
-        let lane = &self.inner.lanes[home];
-        let lead = {
-            let mut queue = lock(&lane.queue);
-            queue.pending.push((op, plan, Arc::clone(&slot)));
-            if queue.draining {
-                lane.writer_waits.fetch_add(1, Ordering::Relaxed);
-                false
-            } else {
-                queue.draining = true;
-                true
-            }
-        };
-        if lead {
-            self.drain(home);
-        }
-        slot.wait()
+        self.inner.lanes[plan.home()].submit(
+            (op, plan),
+            |engine, (op, plan)| self.run_plan(engine, &op, plan),
+            |_| {
+                // The lane has republished; stale views revalidate,
+                // and the fresh composed view goes to the history ring.
+                self.inner.version.fetch_add(1, Ordering::Release);
+                self.observe_history();
+            },
+        )
     }
 
-    /// Leader path for one lane: repeatedly swap out the pending queue
-    /// and commit it as one batch, until no ops remain.
-    fn drain(&self, home: usize) {
-        let lane = &self.inner.lanes[home];
-        let mut engine = lock(&lane.engine);
-        loop {
-            let batch = {
-                let mut queue = lock(&lane.queue);
-                if queue.pending.is_empty() {
-                    queue.draining = false;
-                    break;
-                }
-                std::mem::take(&mut queue.pending)
-            };
-            let size = batch.len() as u64;
-            lane.batches.fetch_add(1, Ordering::Relaxed);
-            lane.ops.fetch_add(size, Ordering::Relaxed);
-            lane.max_batch.fetch_max(size, Ordering::Relaxed);
-            let mut results = Vec::with_capacity(batch.len());
-            for (op, plan, slot) in batch {
-                results.push((slot, self.run_plan(home, &mut engine, &op, plan)));
-            }
-            // Republish before any submitter wakes (read-your-writes),
-            // then offer the fresh composed view to the history ring.
-            self.publish_lane(home, &engine);
-            self.observe_history();
-            for (slot, result) in results {
-                slot.fill(result);
-            }
-        }
-    }
-
-    /// Absorbs a local apply outcome, also registering vids for the
-    /// design objects an activity created implicitly (which no event
-    /// carries — see [`ShardRouter::register_activity_objects`]).
-    fn absorb_local_with_objects(
-        &self,
-        seq: u64,
-        shard: usize,
-        part: Option<u32>,
-        engine: &Engine,
-        event: &Event,
-    ) -> Event {
-        let fresh = fresh_activity_objects(engine, event);
-        self.with_router(|r| {
-            let virt = r.absorb_local(seq, shard, part, event);
-            if let Event::ActivityRun { dovs } = event {
-                r.register_activity_objects(seq, part, dovs.len() as u64, &fresh);
-            }
-            virt
-        })
-    }
-
-    /// Executes one planned op while holding the home lane's engine.
-    fn run_plan(
-        &self,
-        home: usize,
-        engine: &mut Engine,
-        op: &Op,
-        plan: RoutePlan,
-    ) -> HybridResult<(u64, Event)> {
-        let lanes = &self.inner.lanes;
-        match plan {
-            RoutePlan::One { shard, part } => {
-                debug_assert_eq!(shard, home);
-                let (seq, translated) = self
-                    .with_router(|r| r.pre_local(shard, op, None))
-                    .map_err(HybridError::ShardRouting)?;
-                let start = Instant::now();
-                let result = engine.apply(translated);
-                lanes[shard]
-                    .busy_ns
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                // On failure the envelope record stays — replay
-                // reproduces the rejection in commit order.
-                let event = result?;
-                Ok((
-                    seq,
-                    self.absorb_local_with_objects(seq, shard, part, engine, &event),
-                ))
-            }
-            RoutePlan::NewPart { shard, name } => {
-                debug_assert_eq!(shard, home);
-                let (seq, translated, part, fresh) = self
-                    .with_router(|r| r.pre_new_part(shard, &name, op, None))
-                    .map_err(HybridError::ShardRouting)?;
-                let start = Instant::now();
-                let result = engine.apply(translated);
-                lanes[shard]
-                    .busy_ns
-                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                match result {
-                    Ok(event) => Ok((
-                        seq,
-                        self.with_router(|r| r.absorb_local(seq, shard, Some(part), &event)),
-                    )),
-                    Err(e) => {
-                        if fresh {
-                            // The index stays burned; only the name
-                            // mapping rolls back.
-                            self.with_router(|r| r.rollback_part(&name, part));
-                        }
-                        Err(e)
-                    }
-                }
-            }
-            RoutePlan::AllShards => {
-                debug_assert_eq!(home, 0);
-                let (seq, translated) = self
-                    .with_router(|r| r.pre_bcast(op, None))
-                    .map_err(HybridError::ShardRouting)?;
-                // The lane-0 leader is the only thread that ever locks
-                // more than one engine, and it does so in ascending
-                // index order — no cycle with single-lane leaders.
-                let mut others: Vec<MutexGuard<'_, Engine>> =
-                    lanes[1..].iter().map(|lane| lock(&lane.engine)).collect();
-                let mut results = Vec::with_capacity(translated.len());
-                for (i, translated_op) in translated.into_iter().enumerate() {
-                    let start = Instant::now();
-                    let result = if i == 0 {
-                        engine.apply(translated_op)
-                    } else {
-                        others[i - 1].apply(translated_op)
-                    };
-                    lanes[i]
-                        .busy_ns
-                        .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    results.push(result);
-                }
-                for (i, guard) in others.iter().enumerate() {
-                    self.publish_lane(i + 1, guard);
-                }
-                drop(others);
-                let oks = results.iter().filter(|r| r.is_ok()).count();
-                if oks == results.len() {
-                    let events: Vec<Event> =
-                        results.into_iter().map(|r| r.expect("all ok")).collect();
-                    Ok((seq, self.with_router(|r| r.absorb_bcast(seq, &events))))
-                } else if oks == 0 {
-                    // Broadcast state is identical on every shard, so
-                    // every engine rejected with the same error.
-                    Err(results
-                        .into_iter()
-                        .next()
-                        .expect("nonempty")
-                        .expect_err("all err"))
-                } else {
-                    Err(HybridError::Journal(
-                        "broadcast outcome diverged across shards".into(),
-                    ))
-                }
-            }
+    /// Executes one planned op while holding its home lane's engine.
+    fn run_plan(&self, engine: &mut Engine, op: &Op, plan: RoutePlan) -> Outcome {
+        let mut live = self;
+        let outcome = match plan {
             RoutePlan::Cross { pa, pb, sa, sb } => {
                 let out = self
                     .with_router(|r| r.commit_cross(op, pa, pb, sa, sb, None))
@@ -1663,9 +1530,26 @@ impl ShardedService {
                 // The router's relation tables changed; stale views
                 // must revalidate.
                 self.inner.version.fetch_add(1, Ordering::Release);
-                Ok(out)
+                return Ok(out);
             }
-        }
+            RoutePlan::AllShards => {
+                // The lane-0 leader is the only thread that ever locks
+                // more than one engine, and it does so in ascending
+                // index order — no cycle with single-lane leaders.
+                let mut others: Vec<MutexGuard<'_, Engine>> =
+                    self.inner.lanes[1..].iter().map(Lane::engine).collect();
+                let mut engines: Vec<&mut Engine> = std::iter::once(engine)
+                    .chain(others.iter_mut().map(|guard| &mut **guard))
+                    .collect();
+                let outcome = execute_plan(&mut live, &mut engines, op, plan, None);
+                for (i, other) in others.iter().enumerate() {
+                    self.publish_lane(i + 1, other);
+                }
+                outcome
+            }
+            _ => execute_plan(&mut live, &mut [engine], op, plan, None),
+        };
+        outcome.map_err(HybridError::ShardRouting)?
     }
 
     /// Offers the current composed view to the retention ring, keyed
@@ -1715,12 +1599,15 @@ impl ShardedService {
             .inner
             .lanes
             .iter()
-            .map(|lane| ShardLaneStats {
-                ops: lane.ops.load(Ordering::Relaxed),
-                batches: lane.batches.load(Ordering::Relaxed),
-                max_batch: lane.max_batch.load(Ordering::Relaxed),
-                writer_waits: lane.writer_waits.load(Ordering::Relaxed),
-                busy_ns: lane.busy_ns.load(Ordering::Relaxed),
+            .map(|lane| {
+                let s = lane.stats();
+                ShardLaneStats {
+                    ops: s.ops,
+                    batches: s.batches,
+                    max_batch: s.max_batch,
+                    writer_waits: s.writer_waits,
+                    busy_ns: lane.busy_ns(),
+                }
             })
             .collect();
         let router = lock(&self.inner.router);
@@ -1737,7 +1624,7 @@ impl ShardedService {
     /// outside the batching queue, republishing its snapshot after.
     /// For maintenance paths (fault arming, meter inspection).
     pub fn with_shard_engine<R>(&self, shard: usize, f: impl FnOnce(&mut Engine) -> R) -> R {
-        let mut engine = lock(&self.inner.lanes[shard].engine);
+        let mut engine = self.inner.lanes[shard].engine();
         let out = f(&mut engine);
         self.publish_lane(shard, &engine);
         out
@@ -1763,12 +1650,8 @@ impl ShardedService {
     /// same shard count, and per-owner-shard engine fingerprints
     /// across counts).
     pub fn state_fingerprint(&self) -> HybridResult<String> {
-        let guards: Vec<MutexGuard<'_, Engine>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.engine))
-            .collect();
+        let guards: Vec<MutexGuard<'_, Engine>> =
+            self.inner.lanes.iter().map(Lane::engine).collect();
         let mut joined = String::new();
         for (i, engine) in guards.iter().enumerate() {
             joined.push_str(&format!("shard-{i}={}\n", engine.state_fingerprint()?));
@@ -1875,12 +1758,8 @@ impl ShardedService {
     /// Locks every engine (ascending) and the router for the duration,
     /// so the images are mutually consistent.
     pub fn checkpoint(&self, fs: &mut Vfs, root: &VfsPath) -> HybridResult<()> {
-        let mut guards: Vec<MutexGuard<'_, Engine>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.engine))
-            .collect();
+        let mut guards: Vec<MutexGuard<'_, Engine>> =
+            self.inner.lanes.iter().map(Lane::engine).collect();
         let mut router = lock(&self.inner.router);
         let next = router.epoch + 1;
         let dir = root.join(&format!("ck-{next}"))?;
@@ -1917,12 +1796,8 @@ impl ShardedService {
     ///
     /// Returns the number of files and directories removed.
     pub fn compact(&self, fs: &mut Vfs, root: &VfsPath) -> HybridResult<usize> {
-        let mut guards: Vec<MutexGuard<'_, Engine>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| lock(&lane.engine))
-            .collect();
+        let mut guards: Vec<MutexGuard<'_, Engine>> =
+            self.inner.lanes.iter().map(Lane::engine).collect();
         let router = lock(&self.inner.router);
         if router.epoch == 0 || !fs.exists(root) {
             return Ok(0);
@@ -2104,68 +1979,30 @@ impl ShardedService {
         for (seq, entry) in merged {
             match entry {
                 Merged::Local { shard, op } => {
-                    match router.plan(&op).map_err(HybridError::Journal)? {
-                        RoutePlan::One {
-                            shard: planned,
-                            part,
-                        } => {
-                            debug_assert_eq!(planned, shard);
-                            let (_, translated) = router
-                                .pre_local(shard, &op, Some(seq))
-                                .map_err(HybridError::Journal)?;
-                            if let Ok(event) = engines[shard].apply(translated) {
-                                let fresh = fresh_activity_objects(&engines[shard], &event);
-                                router.absorb_local(seq, shard, part, &event);
-                                if let Event::ActivityRun { dovs } = &event {
-                                    router.register_activity_objects(
-                                        seq,
-                                        part,
-                                        dovs.len() as u64,
-                                        &fresh,
-                                    );
-                                }
-                            }
-                        }
-                        RoutePlan::NewPart {
-                            shard: planned,
-                            name,
-                        } => {
-                            debug_assert_eq!(planned, shard);
-                            let (_, translated, part, fresh) = router
-                                .pre_new_part(planned, &name, &op, Some(seq))
-                                .map_err(HybridError::Journal)?;
-                            match engines[planned].apply(translated) {
-                                Ok(event) => {
-                                    router.absorb_local(seq, planned, Some(part), &event);
-                                }
-                                Err(_) => {
-                                    if fresh {
-                                        router.rollback_part(&name, part);
-                                    }
-                                }
-                            }
-                        }
-                        _ => {
-                            return Err(HybridError::Journal(format!(
-                                "local journal record at seq {seq} replans as non-local"
-                            )))
-                        }
+                    let plan = router.plan(&op).map_err(HybridError::Journal)?;
+                    let local = matches!(plan, RoutePlan::One { .. } | RoutePlan::NewPart { .. });
+                    if !local || plan.home() != shard {
+                        return Err(HybridError::Journal(format!(
+                            "local journal record at seq {seq} replans off shard {shard}"
+                        )));
                     }
+                    // A failed apply is a reproduced failure, not a
+                    // recovery error.
+                    let _ = execute_plan(
+                        &mut router,
+                        &mut [&mut engines[shard]],
+                        &op,
+                        plan,
+                        Some(seq),
+                    )
+                    .map_err(HybridError::Journal)?;
                     replayed += 1;
                 }
                 Merged::Bcast { op } => {
-                    let (_, translated) = router
-                        .pre_bcast(&op, Some(seq))
-                        .map_err(HybridError::Journal)?;
-                    let mut events = Vec::with_capacity(nshards);
-                    for (i, translated_op) in translated.into_iter().enumerate() {
-                        if let Ok(event) = engines[i].apply(translated_op) {
-                            events.push(event);
-                        }
-                    }
-                    if events.len() == nshards {
-                        router.absorb_bcast(seq, &events);
-                    }
+                    let mut all: Vec<&mut Engine> = engines.iter_mut().collect();
+                    let _ =
+                        execute_plan(&mut router, &mut all, &op, RoutePlan::AllShards, Some(seq))
+                            .map_err(HybridError::Journal)?;
                     replayed += 1;
                 }
                 Merged::Cross { a, b, op } => {
@@ -2914,12 +2751,7 @@ impl ShardedService {
                 return Arc::clone(view);
             }
         }
-        let snaps: Vec<Arc<Snapshot>> = self
-            .inner
-            .lanes
-            .iter()
-            .map(|lane| Arc::clone(&lock(&lane.snapshot)))
-            .collect();
+        let snaps: Vec<Arc<Snapshot>> = self.inner.lanes.iter().map(Lane::snapshot).collect();
         let router = {
             let router = lock(&self.inner.router);
             RouterView {

@@ -1,10 +1,9 @@
-//! Deterministic randomized suite (SplitMix64-driven), covering the
-//! same ground as the gated `prop_oms` proptest suite — transaction
-//! rollback, image round trips and the incremental checkpointer —
-//! without any external dependency.
+//! Deterministic randomized suite (SplitMix64-driven): transaction
+//! rollback and commit, image round trips and the incremental
+//! checkpointer under random mutation histories.
 
 use cad_vfs::SplitMix64;
-use oms::{persist, AttrType, Cardinality, Database, Schema, SchemaBuilder, Value};
+use oms::{persist, AttrType, Cardinality, Database, OmsResult, Schema, SchemaBuilder, Value};
 
 fn schema() -> Schema {
     let mut b = SchemaBuilder::new();
@@ -91,6 +90,24 @@ fn image_round_trip() {
         let image = persist::dump(&db);
         let restored = persist::parse(schema(), &image).unwrap();
         assert_eq!(persist::dump(&restored), image);
+    }
+}
+
+/// Committed transactions behave exactly like unjournalled mutations.
+#[test]
+fn commit_equals_plain_apply() {
+    let mut rng = SplitMix64::new(9);
+    for _ in 0..25 {
+        let seed = rng.next_u64();
+        let mut plain = Database::new(schema());
+        mutate(&mut plain, &mut SplitMix64::new(seed), 30);
+        let mut txn = Database::new(schema());
+        let result: OmsResult<()> = txn.transact(|db| {
+            mutate(db, &mut SplitMix64::new(seed), 30);
+            Ok(())
+        });
+        assert!(result.is_ok(), "seed {seed}");
+        assert_eq!(persist::dump(&txn), persist::dump(&plain), "seed {seed}");
     }
 }
 

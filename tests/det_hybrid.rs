@@ -1,5 +1,4 @@
-//! Deterministic randomized suite (SplitMix64-driven), covering the
-//! same ground as the gated `prop_hybrid` proptest suite: random valid
+//! Deterministic randomized suite (SplitMix64-driven): random valid
 //! desktop sessions never break the cross-framework invariants.
 
 use cad_vfs::SplitMix64;
