@@ -4,12 +4,6 @@
 //! Run with `cargo bench -p bench`. Absolute numbers depend on the
 //! host; the *shape* assertions live in the unit tests of each
 //! experiment module and in `EXPERIMENTS.md`.
-//!
-//! This harness is dependency-free (`std::time::Instant` only) so the
-//! workspace builds and benches without crates.io access. The original
-//! criterion harness is gated behind the `criterion-benches` feature of
-//! the `bench` crate: re-add the `criterion` dev-dependency and enable
-//! that feature to get statistical sampling back.
 
 use std::hint::black_box;
 use std::time::Instant;

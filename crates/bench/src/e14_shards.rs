@@ -259,7 +259,11 @@ fn drive_project(
             variant,
             flow.enter_schematic,
             false,
-            vec![("schematic".into(), data.clone())],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data: data.clone(),
+            }],
+            None,
         )
         .expect("activity runs");
 }
@@ -347,7 +351,11 @@ fn timed_view_reads(shards: usize, gates: usize, seed: u64, reads: u64) -> (u64,
             variant,
             env.flow.enter_schematic,
             false,
-            vec![("schematic".into(), cloud_bytes(gates, seed).into())],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data: cloud_bytes(gates, seed).into(),
+            }],
+            None,
         )
         .expect("activity runs");
     session.publish(cv).expect("holder publishes");
@@ -387,7 +395,11 @@ fn tick_probe_sharded(shards: usize, mode: StagingMode, gates: usize, seed: u64)
             variant,
             env.flow.enter_schematic,
             false,
-            vec![("schematic".into(), data.into())],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data: data.into(),
+            }],
+            None,
         )
         .expect("activity runs");
     let activity = meter(&env.service).since(&before).ticks;
@@ -398,8 +410,13 @@ fn tick_probe_sharded(shards: usize, mode: StagingMode, gates: usize, seed: u64)
         .expect("holder derives");
     let metadata = meter(&env.service).since(&before).ticks;
 
+    // The session's own reads are zero-copy snapshot reads; the probe
+    // submits the journaled desktop ops to meter the §3.6 copy path.
+    let user = env.designers[0];
     let before = meter(&env.service);
-    session.browse(dovs[0]).expect("visible to holder");
+    session
+        .apply(Op::Browse { user, dov: dovs[0] })
+        .expect("visible to holder");
     let hybrid_read = meter(&env.service).since(&before).ticks;
 
     let (dov_shard, dov_local) = env
@@ -421,7 +438,7 @@ fn tick_probe_sharded(shards: usize, mode: StagingMode, gates: usize, seed: u64)
 
     let before = meter(&env.service);
     session
-        .read_design_data(dovs[0])
+        .apply(Op::ReadDesignData { user, dov: dovs[0] })
         .expect("visible to holder");
     let procedural = meter(&env.service).since(&before).ticks;
 
@@ -515,7 +532,7 @@ fn scripted_stream(shards: usize, gates: usize, seed: u64) -> Vec<(u64, Event)> 
             .expect("fresh version");
         alice.reserve(cv).expect("free version");
         let (seq, event) = alice
-            .apply(Op::RunActivity {
+            .apply_seq(Op::RunActivity {
                 user: env.designers[0],
                 variant,
                 activity: env.flow.enter_schematic,
@@ -536,7 +553,7 @@ fn scripted_stream(shards: usize, gates: usize, seed: u64) -> Vec<(u64, Event)> 
     // same-shard 2PCs at one shard).
     stream.push(
         alice
-            .apply(Op::DeclareCompOf {
+            .apply_seq(Op::DeclareCompOf {
                 user: env.designers[0],
                 cv: cvs[0],
                 child: cells[1],
@@ -545,7 +562,7 @@ fn scripted_stream(shards: usize, gates: usize, seed: u64) -> Vec<(u64, Event)> 
     );
     stream.push(
         alice
-            .apply(Op::MarkEquivalent {
+            .apply_seq(Op::MarkEquivalent {
                 a: dovs[2],
                 b: dovs[3],
             })
@@ -585,7 +602,11 @@ fn recovery_roundtrip(gates: usize, seed: u64) -> bool {
             alu_variant,
             env.flow.enter_schematic,
             false,
-            vec![("schematic".into(), data)],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data,
+            }],
+            None,
         )
         .expect("activity runs");
 

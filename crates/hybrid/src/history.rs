@@ -1,20 +1,24 @@
-//! The time-travel layer: retained snapshots, branch workspaces and
+//! The time-travel layer: retained views, branch workspaces and
 //! impact queries.
 //!
 //! PR 5 made snapshots O(1) to retain and the durability layer made
 //! any persisted seq recoverable; this module spends that substrate on
-//! the version-control features a 1995-era coupling could not offer:
+//! the version-control features a 1995-era coupling could not offer.
+//! Each feature is written once and serves both write stacks — the
+//! single-engine [`Service`](crate::Service) (views are
+//! [`Snapshot`]s) and the [`ShardedService`](crate::ShardedService)
+//! (views are composed [`ShardView`](crate::ShardView)s):
 //!
-//! * **Retention** — the [`Service`](crate::Service) (and the sharded
-//!   front-end) keeps a bounded ring of published views keyed by
-//!   commit sequence number, governed by a pluggable
+//! * **Retention** — each service keeps a bounded ring of published
+//!   views keyed by commit sequence number, governed by a pluggable
 //!   [`RetentionPolicy`] plus explicit pins. Retaining a view is a
 //!   handful of `Arc` bumps, so the write path never notices.
 //! * **Time-travel reads** — [`Session::at`](crate::Session::at)
 //!   returns a [`HistoryView`]: every zero-copy read of the live
-//!   session (`browse`, `read_design_data`, the coupling-map queries,
-//!   the impact queries) answered against any retained seq, `&self`,
-//!   without blocking writers.
+//!   session (`browse`, `read_design_data`, the impact queries)
+//!   answered against any retained seq, `&self`, without blocking
+//!   writers; [`HistoryView::view`] opens the retained view itself for
+//!   arbitrary queries.
 //! * **Branch workspaces** —
 //!   [`Session::reserve_at`](crate::Session::reserve_at) opens a
 //!   [`Workspace`] against a historical view; staged writes merge
@@ -27,12 +31,14 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use cad_vfs::Blob;
-use jcf::{CellVersionId, DesignObjectId, DovId, ProjectId, UserId, ViewTypeId};
+use jcf::{CellVersionId, DesignObjectId, DovId, ProjectId, UserId};
 
 use crate::error::{HybridError, HybridResult};
 use crate::events::Event;
-use crate::framework::{MirrorLocation, StagingMode};
+use crate::framework::MirrorLocation;
 use crate::ops::Op;
+use crate::service::{ReadView, Service, WriteStack};
+use crate::shard::ShardView;
 use crate::snapshot::Snapshot;
 
 /// Which published views the history ring keeps.
@@ -64,10 +70,10 @@ impl Default for RetentionPolicy {
 }
 
 /// The bounded retention ring: recent views per [`RetentionPolicy`]
-/// plus explicit pins, both keyed by commit seq. Generic over the view
-/// type so the single-engine service (retaining `Arc<Snapshot>`) and
-/// the sharded service (retaining composed shard views) share one
-/// implementation.
+/// plus explicit pins, both keyed by commit seq — the one retention
+/// surface behind `at`/`pin`/`unpin`/`retained_seqs` of [`Service`]
+/// (`Arc<Snapshot>`) and [`ShardedService`](crate::ShardedService)
+/// (`Arc<ShardView>`).
 #[derive(Debug)]
 pub(crate) struct HistoryRing<V> {
     policy: RetentionPolicy,
@@ -87,30 +93,28 @@ impl<V: Clone> HistoryRing<V> {
     /// Offers the view published at `seq` to the ring. Idempotent at
     /// an unchanged seq, so callers may offer defensively.
     pub(crate) fn observe(&mut self, seq: u64, view: V) {
+        let cap = match self.policy {
+            RetentionPolicy::LastN(n) => n,
+            RetentionPolicy::EveryNth { stride, cap } if seq.is_multiple_of(stride.max(1)) => cap,
+            RetentionPolicy::EveryNth { .. } => return,
+        };
         if self.ring.back().is_some_and(|(s, _)| *s >= seq) {
             return;
         }
-        match self.policy {
-            RetentionPolicy::LastN(n) => {
-                self.ring.push_back((seq, view));
-                while self.ring.len() > n.max(1) {
-                    self.ring.pop_front();
-                }
-            }
-            RetentionPolicy::EveryNth { stride, cap } => {
-                if !seq.is_multiple_of(stride.max(1)) {
-                    return;
-                }
-                self.ring.push_back((seq, view));
-                while self.ring.len() > cap.max(1) {
-                    self.ring.pop_front();
-                }
-            }
+        self.ring.push_back((seq, view));
+        while self.ring.len() > cap.max(1) {
+            self.ring.pop_front();
         }
     }
 
+    /// The view retained at exactly `seq`, or the typed miss naming
+    /// the closest retained boundary.
+    pub(crate) fn at(&self, seq: u64) -> HybridResult<V> {
+        self.get(seq).ok_or_else(|| self.unreachable(seq))
+    }
+
     /// The view retained at exactly `seq`, if any (pins win).
-    pub(crate) fn get(&self, seq: u64) -> Option<V> {
+    fn get(&self, seq: u64) -> Option<V> {
         if let Some(view) = self.pinned.get(&seq) {
             return Some(view.clone());
         }
@@ -122,13 +126,9 @@ impl<V: Clone> HistoryRing<V> {
 
     /// Pins a currently retained seq so it survives ring eviction.
     pub(crate) fn pin(&mut self, seq: u64) -> HybridResult<()> {
-        match self.get(seq) {
-            Some(view) => {
-                self.pinned.insert(seq, view);
-                Ok(())
-            }
-            None => Err(self.unreachable(seq)),
-        }
+        let view = self.at(seq)?;
+        self.pinned.insert(seq, view);
+        Ok(())
     }
 
     /// Drops a pin; returns whether one existed.
@@ -146,7 +146,7 @@ impl<V: Clone> HistoryRing<V> {
     }
 
     /// The typed miss for `seq`: closest retained boundary attached.
-    pub(crate) fn unreachable(&self, seq: u64) -> HybridError {
+    fn unreachable(&self, seq: u64) -> HybridError {
         let reachable = self
             .retained()
             .into_iter()
@@ -159,26 +159,40 @@ impl<V: Clone> HistoryRing<V> {
     }
 }
 
-/// A session's read handle on one retained snapshot: every zero-copy
-/// read of the live [`Session`](crate::Session), answered at a fixed
+/// A session's read handle on one retained view: every zero-copy read
+/// of the live [`Session`](crate::Session), answered at a fixed
 /// historical seq. All methods are `&self` and never touch the write
 /// path — a history read can not block (or be blocked by) writers.
 ///
-/// Created by [`Session::at`](crate::Session::at).
-#[derive(Debug, Clone)]
-pub struct HistoryView {
+/// `V` is the retaining service's view: a [`Snapshot`] for a
+/// [`Service`] session, a composed [`ShardView`] for a
+/// [`ShardedSession`](crate::ShardedSession). Created by
+/// [`Session::at`](crate::Session::at).
+#[derive(Debug)]
+pub struct HistoryView<V = Snapshot> {
     user: UserId,
-    snap: Arc<Snapshot>,
+    seq: u64,
+    view: Arc<V>,
 }
 
-impl HistoryView {
-    pub(crate) fn new(user: UserId, snap: Arc<Snapshot>) -> HistoryView {
-        HistoryView { user, snap }
+impl<V> Clone for HistoryView<V> {
+    fn clone(&self) -> HistoryView<V> {
+        HistoryView {
+            user: self.user,
+            seq: self.seq,
+            view: Arc::clone(&self.view),
+        }
+    }
+}
+
+impl<V: ReadView> HistoryView<V> {
+    pub(crate) fn new(user: UserId, seq: u64, view: Arc<V>) -> HistoryView<V> {
+        HistoryView { user, seq, view }
     }
 
     /// The commit seq this view is fixed at.
     pub fn seq(&self) -> u64 {
-        self.snap.seq()
+        self.seq
     }
 
     /// The user the owning session acts as.
@@ -186,14 +200,9 @@ impl HistoryView {
         self.user
     }
 
-    /// The staging mode that was active at this seq.
-    pub fn staging_mode(&self) -> StagingMode {
-        self.snap.staging_mode()
-    }
-
-    /// The underlying retained [`Snapshot`], for arbitrary queries.
-    pub fn snapshot(&self) -> &Arc<Snapshot> {
-        &self.snap
+    /// The underlying retained view, for arbitrary queries.
+    pub fn view(&self) -> &Arc<V> {
+        &self.view
     }
 
     /// Reads a design object version's data as it stood at this seq —
@@ -201,9 +210,9 @@ impl HistoryView {
     ///
     /// # Errors
     ///
-    /// Returns the same visibility errors as the live path.
+    /// Returns the same routing and visibility errors as the live path.
     pub fn read_design_data(&self, dov: DovId) -> HybridResult<Blob> {
-        self.snap.read_design_data(self.user, dov)
+        self.view.read_design_data(self.user, dov)
     }
 
     /// Browses a design object version at this seq (the same zero-copy
@@ -211,65 +220,59 @@ impl HistoryView {
     ///
     /// # Errors
     ///
-    /// Returns the same visibility errors as the live path.
+    /// Returns the same routing and visibility errors as the live path.
     pub fn browse(&self, dov: DovId) -> HybridResult<Blob> {
-        self.snap.browse(self.user, dov)
+        self.view.browse(self.user, dov)
     }
+}
 
+impl HistoryView<Snapshot> {
     /// The FMCAD library mapped from a project at this seq.
     ///
     /// # Errors
     ///
     /// Returns [`HybridError::MappingMissing`] for uncoupled projects.
     pub fn library_of(&self, project: ProjectId) -> HybridResult<&str> {
-        self.snap.library_of(project)
-    }
-
-    /// The FMCAD cell mapped from a cell version at this seq.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HybridError::MappingMissing`] for uncoupled versions.
-    pub fn fmcad_cell_of(&self, cv: CellVersionId) -> HybridResult<&str> {
-        self.snap.fmcad_cell_of(cv)
-    }
-
-    /// The name of a registered viewtype at this seq.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HybridError::MappingMissing`] for foreign ids.
-    pub fn viewtype_name(&self, id: ViewTypeId) -> HybridResult<&str> {
-        self.snap.viewtype_name(id)
-    }
-
-    /// Where a design object version was mirrored in FMCAD at this
-    /// seq, if it was.
-    pub fn mirror_of(&self, dov: DovId) -> Option<&MirrorLocation> {
-        self.snap.mirror_of(dov)
+        self.view.library_of(project)
     }
 
     /// Everything that goes stale if `cv` changes, evaluated on this
     /// seq's derivation/equivalence graph
     /// (see [`Snapshot::stale_dovs`]).
     pub fn stale_dovs(&self, cv: CellVersionId) -> Vec<DovId> {
-        self.snap.stale_dovs(cv)
+        self.view.stale_dovs(cv)
     }
 
     /// The stale set narrowed to FMCAD-mirrored cellviews
     /// (see [`Snapshot::impacted_cellviews`]).
     pub fn impacted_cellviews(&self, cv: CellVersionId) -> Vec<(DovId, Arc<MirrorLocation>)> {
-        self.snap.impacted_cellviews(cv)
+        self.view.impacted_cellviews(cv)
     }
 }
 
-/// How a [`Workspace`] reaches the write path when it merges forward.
-#[derive(Debug, Clone)]
-pub(crate) enum MergeBackend {
-    /// Through a single-engine [`Service`](crate::Service).
-    Single(crate::Service),
-    /// Through the sharded front-end.
-    Sharded(crate::ShardedService),
+impl HistoryView<ShardView> {
+    /// Everything that goes stale if `cv` changes, evaluated on this
+    /// seq's cross-shard graph (see [`ShardView::stale_dovs`]).
+    ///
+    /// # Errors
+    ///
+    /// [`HybridError::ShardRouting`] for ids the view does not know.
+    pub fn stale_dovs(&self, cv: CellVersionId) -> HybridResult<Vec<DovId>> {
+        self.view.stale_dovs(cv)
+    }
+
+    /// The stale set narrowed to FMCAD-mirrored cellviews
+    /// (see [`ShardView::impacted_cellviews`]).
+    ///
+    /// # Errors
+    ///
+    /// [`HybridError::ShardRouting`] for ids the view does not know.
+    pub fn impacted_cellviews(
+        &self,
+        cv: CellVersionId,
+    ) -> HybridResult<Vec<(DovId, Arc<MirrorLocation>)>> {
+        self.view.impacted_cellviews(cv)
+    }
 }
 
 /// A branch workspace: opened against a *historical* view with
@@ -277,7 +280,11 @@ pub(crate) enum MergeBackend {
 /// staging new design-object versions, and landed on the current head
 /// with [`Workspace::merge_forward`] — one atomic
 /// reserve → write → publish, with optimistic conflict detection
-/// against the recorded branch point.
+/// against the recorded branch point. `S` is the service the merge
+/// commits through ([`Service`] or
+/// [`ShardedService`](crate::ShardedService)); on a sharded service
+/// the merge routes to `cv`'s owning shard like any other
+/// single-partition op.
 ///
 /// Unlike a live [`reserve`](crate::Session::reserve), opening a
 /// workspace takes **no lock on the head**: other designers keep
@@ -287,8 +294,8 @@ pub(crate) enum MergeBackend {
 /// [`MergeConflict`](crate::Event::MergeConflict) event and changes
 /// nothing.
 #[derive(Debug)]
-pub struct Workspace {
-    backend: MergeBackend,
+pub struct Workspace<S = Service> {
+    service: S,
     user: UserId,
     cv: CellVersionId,
     base_seq: u64,
@@ -298,41 +305,16 @@ pub struct Workspace {
     staged: Vec<(DesignObjectId, Blob)>,
 }
 
-impl Workspace {
+impl<S: WriteStack> Workspace<S> {
     pub(crate) fn open(
-        backend: MergeBackend,
-        user: UserId,
-        cv: CellVersionId,
-        base: &Snapshot,
-    ) -> Workspace {
-        let mut expected = Vec::new();
-        for variant in base.jcf().variants_of(cv) {
-            for design_object in base.jcf().design_objects_of(variant) {
-                let count = base.jcf().versions_of_design_object(design_object).len() as u32;
-                expected.push((design_object, count));
-            }
-        }
-        expected.sort_unstable_by_key(|(d, _)| *d);
-        expected.dedup();
-        Workspace {
-            backend,
-            user,
-            cv,
-            base_seq: base.seq(),
-            expected,
-            staged: Vec::new(),
-        }
-    }
-
-    pub(crate) fn open_sharded(
-        service: crate::ShardedService,
+        service: S,
         user: UserId,
         cv: CellVersionId,
         base_seq: u64,
-        base: &crate::ShardView,
-    ) -> HybridResult<Workspace> {
+        base: &S::View,
+    ) -> HybridResult<Workspace<S>> {
         Ok(Workspace {
-            backend: MergeBackend::Sharded(service),
+            service,
             user,
             cv,
             base_seq,
@@ -411,10 +393,7 @@ impl Workspace {
             expected: self.expected,
             writes: self.staged,
         };
-        match self.backend {
-            MergeBackend::Single(service) => service.submit(op),
-            MergeBackend::Sharded(service) => service.submit(op),
-        }
+        self.service.submit(op)
     }
 }
 

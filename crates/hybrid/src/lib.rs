@@ -108,7 +108,7 @@ pub use ops::Op;
 pub use release::ExportManifest;
 pub use service::{Service, ServiceStats, Session};
 pub use shard::{
-    shard_of_name, RouterView, ShardHistoryView, ShardLaneStats, ShardStats, ShardView,
-    ShardedService, ShardedServiceBuilder, ShardedSession, VIRT_BASE,
+    shard_of_name, RouterView, ShardLaneStats, ShardStats, ShardView, ShardedService,
+    ShardedServiceBuilder, ShardedSession, VIRT_BASE,
 };
 pub use snapshot::Snapshot;

@@ -1,11 +1,12 @@
-//! Concurrent multi-session front-end over the [`Engine`].
+//! Concurrent multi-session front-end over the [`Engine`], and the
+//! designer's [`Session`] for both write stacks.
 //!
 //! The paper's system was inherently multi-user: several designers
 //! drive the coupled frameworks at once, each through their own JCF
 //! desktop session. This module reproduces that shape as a
 //! thread-safe service: one group-commit [`Lane`] (shared with every
-//! shard of [`ShardedService`](crate::ShardedService)) plus per-session
-//! event fan-out and the time-travel history ring.
+//! shard of [`ShardedService`]) plus per-session event fan-out and the
+//! time-travel history ring.
 //!
 //! * **Reads are snapshot reads.** The lane keeps a published
 //!   [`Snapshot`] (an immutable view over the OMS database and the
@@ -24,6 +25,19 @@
 //! handoff per *batch* instead of per op, and readers never wait on
 //! writers at all (at worst they read the previous snapshot).
 //!
+//! # Sessions
+//!
+//! [`Session`] is written once for both write stacks: `Session`
+//! (= `Session<Service>`) over a single engine and
+//! [`ShardedSession`](crate::ShardedSession)
+//! (= `Session<ShardedService>`) over the partitioned one. Both carry
+//! the same typed desktop wrappers with the same return shapes, the
+//! same cached zero-copy `browse`/`read_design_data` (revalidated
+//! against the service's published seq or view version), the same
+//! time travel ([`Session::at`]) and branch workspaces
+//! ([`Session::reserve_at`]). Only a `Service` session subscribes to
+//! the event stream ([`Session::events`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -41,22 +55,28 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cad_vfs::Blob;
-use jcf::{CellId, CellVersionId, DovId, FlowId, ProjectId, TeamId, UserId, VariantId};
+use jcf::{
+    ActivityId, CellId, CellVersionId, DesignObjectId, DovId, FlowId, ProjectId, TeamId, UserId,
+    VariantId,
+};
 
+use crate::encapsulation::ToolOutput;
 use crate::engine::Engine;
 use crate::error::{HybridError, HybridResult};
 use crate::events::Event;
 use crate::framework::StandardFlow;
-use crate::history::{HistoryRing, HistoryView, MergeBackend, RetentionPolicy, Workspace};
+use crate::history::{HistoryRing, HistoryView, RetentionPolicy, Workspace};
 use crate::lane::{lock, Lane, Outcome};
 use crate::ops::Op;
+use crate::shard::{ShardView, ShardedService};
 use crate::snapshot::Snapshot;
 
-/// A session's private queue of committed `(seq, event)` pairs.
+/// A session's private queue of committed `(seq, event)` pairs. The
+/// service holds one handle per subscriber and the session the other;
+/// a queue whose session has dropped is pruned at the next fan-out.
 type EventQueue = Arc<Mutex<VecDeque<(u64, Event)>>>;
 
 /// A point-in-time copy of a write lane's concurrency counters.
@@ -85,13 +105,12 @@ pub struct ServiceStats {
 
 struct Inner {
     lane: Lane<Op>,
-    /// Per-session event queues, keyed by session id.
-    subscribers: Mutex<Vec<(u64, EventQueue)>>,
+    /// Per-session event queues.
+    subscribers: Mutex<Vec<EventQueue>>,
     /// The time-travel retention ring: recently published snapshots by
     /// commit seq, plus pins (§15). Only writers touch it (once per
     /// committed op); history reads clone an `Arc` out and leave.
     history: Mutex<HistoryRing<Arc<Snapshot>>>,
-    next_session: AtomicU64,
     admin: UserId,
 }
 
@@ -132,7 +151,6 @@ impl Service {
                 lane: Lane::new(engine),
                 subscribers: Mutex::new(Vec::new()),
                 history: Mutex::new(history),
-                next_session: AtomicU64::new(1),
                 admin,
             }),
         }
@@ -146,16 +164,7 @@ impl Service {
     /// Opens a session acting as `user`. The session subscribes to the
     /// engine's event stream from this point on.
     pub fn open_session(&self, user: UserId) -> Session {
-        let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
-        let events = Arc::new(Mutex::new(VecDeque::new()));
-        lock(&self.inner.subscribers).push((id, Arc::clone(&events)));
-        Session {
-            service: self.clone(),
-            id,
-            user,
-            events,
-            cache: Mutex::new(None),
-        }
+        Session::open(self.clone(), user)
     }
 
     /// The currently published [`Snapshot`]. Never blocks on writers:
@@ -217,20 +226,18 @@ impl Service {
         )
     }
 
-    /// Delivers a batch's committed events to every session's queue
-    /// (including the submitter's own); failed ops fan out nothing.
+    /// Delivers a batch's committed events to every open session's
+    /// queue (including the submitter's own); failed ops fan out
+    /// nothing.
     fn fan_out(&self, outcomes: &[Outcome]) {
-        let subscribers = lock(&self.inner.subscribers);
-        for (_, queue) in subscribers.iter() {
+        let mut subscribers = lock(&self.inner.subscribers);
+        subscribers.retain(|queue| Arc::strong_count(queue) > 1);
+        for queue in subscribers.iter() {
             let mut queue = lock(queue);
             for (seq, event) in outcomes.iter().flatten() {
                 queue.push_back((*seq, event.clone()));
             }
         }
-    }
-
-    fn close_session(&self, id: u64) {
-        lock(&self.inner.subscribers).retain(|(sid, _)| *sid != id);
     }
 
     // --- the time-travel surface (§15) ------------------------------------
@@ -243,8 +250,7 @@ impl Service {
     /// retained boundary) when `seq` was never retained or has been
     /// evicted.
     pub fn at(&self, seq: u64) -> HybridResult<Arc<Snapshot>> {
-        let history = lock(&self.inner.history);
-        history.get(seq).ok_or_else(|| history.unreachable(seq))
+        lock(&self.inner.history).at(seq)
     }
 
     /// Pins a retained seq so it survives ring eviction until
@@ -268,70 +274,145 @@ impl Service {
     }
 }
 
-/// One user's handle on the [`Service`]: typed write wrappers that
-/// group-commit through the shared queue, snapshot reads that never
-/// block on writers, and a private queue of committed events.
-///
-/// Dropping the session unsubscribes it.
-#[derive(Debug)]
-pub struct Session {
-    service: Service,
-    id: u64,
-    user: UserId,
-    events: EventQueue,
-    /// The session's cached view, revalidated against the service's
-    /// published sequence number on every read. A session is driven by
-    /// one thread, so this mutex is effectively uncontended — reads of
-    /// an unchanged snapshot never touch shared service locks.
-    cache: Mutex<Option<Arc<Snapshot>>>,
+// --- the session layer, shared by both write stacks -----------------------
+
+/// What a [`Session`] needs from the write stack behind it. Implemented
+/// by [`Service`] and [`ShardedService`] only: the trait is public so
+/// it can bound the public session types, but it lives in a private
+/// module, so it cannot be named or implemented outside this crate.
+pub trait WriteStack: Clone + Send + Sync + 'static {
+    /// The stack's read view.
+    type View: ReadView + std::fmt::Debug;
+    /// What an open session holds on the stack.
+    type Subscription: std::fmt::Debug + Send + Sync;
+
+    /// Registers a new session.
+    fn subscribe(&self) -> Self::Subscription;
+    /// Submits one op and blocks until it commits.
+    fn submit(&self, op: Op) -> HybridResult<(u64, Event)>;
+    /// The live view.
+    fn view(&self) -> Arc<Self::View>;
+    /// Whether `view` is still the live view: one atomic load of the
+    /// freshness key (the published seq of a [`Service`], the view
+    /// version of a [`ShardedService`]).
+    fn is_live(&self, view: &Self::View) -> bool;
+    /// The view retained at exactly commit seq `seq`.
+    fn at(&self, seq: u64) -> HybridResult<Arc<Self::View>>;
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        self.service.close_session(self.id);
+/// The read surface a [`Session`] and a [`HistoryView`] share across
+/// both write stacks' views ([`Snapshot`] and [`ShardView`]). Sealed
+/// like [`WriteStack`].
+pub trait ReadView: Send + Sync + 'static {
+    /// Browses a design object version (zero-copy).
+    fn browse(&self, user: UserId, dov: DovId) -> HybridResult<Blob>;
+    /// Reads design data via the desktop (zero-copy).
+    fn read_design_data(&self, user: UserId, dov: DovId) -> HybridResult<Blob>;
+    /// Per design object under `cv`, its version count, sorted by
+    /// object — the optimistic-merge baseline of a [`Workspace`].
+    fn design_object_versions(&self, cv: CellVersionId)
+        -> HybridResult<Vec<(DesignObjectId, u32)>>;
+}
+
+impl WriteStack for Service {
+    type View = Snapshot;
+    type Subscription = EventQueue;
+
+    fn subscribe(&self) -> EventQueue {
+        let events = EventQueue::default();
+        lock(&self.inner.subscribers).push(Arc::clone(&events));
+        events
+    }
+
+    fn submit(&self, op: Op) -> HybridResult<(u64, Event)> {
+        Service::submit(self, op)
+    }
+
+    fn view(&self) -> Arc<Snapshot> {
+        self.snapshot()
+    }
+
+    fn is_live(&self, view: &Snapshot) -> bool {
+        view.seq() == self.inner.lane.published_seq()
+    }
+
+    fn at(&self, seq: u64) -> HybridResult<Arc<Snapshot>> {
+        Service::at(self, seq)
     }
 }
 
-impl Session {
+/// One user's handle on a write stack: typed write wrappers that
+/// group-commit through the shared queue, snapshot reads that never
+/// block on writers, time travel and branch workspaces.
+///
+/// `Session` (= `Session<Service>`) runs over a single engine and also
+/// receives the committed event stream until it drops.
+/// [`ShardedSession`](crate::ShardedSession)
+/// (= `Session<ShardedService>`) runs over the partitioned service,
+/// where every id it takes or returns is in *virtual* form.
+#[derive(Debug)]
+pub struct Session<S: WriteStack = Service> {
+    service: S,
+    user: UserId,
+    subscription: S::Subscription,
+    /// The session's cached view, revalidated against the service on
+    /// every read. A session is driven by one thread, so this mutex is
+    /// effectively uncontended — reads of an unchanged view never
+    /// touch shared service locks.
+    cache: Mutex<Option<Arc<S::View>>>,
+}
+
+impl Session<Service> {
+    /// The currently published [`Snapshot`] — the session's read view.
+    /// Cached per session: only the first read after a write batch
+    /// pays the (brief) shared snapshot lock.
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.with_view(Arc::clone)
+    }
+
+    /// Drains the events committed since the last call (each with the
+    /// engine sequence number it committed at).
+    pub fn events(&self) -> Vec<(u64, Event)> {
+        lock(&self.subscription).drain(..).collect()
+    }
+}
+
+impl Session<ShardedService> {
+    /// The current composed cross-shard read view (cached per session
+    /// like [`Session::snapshot`]).
+    pub fn view(&self) -> Arc<ShardView> {
+        self.with_view(Arc::clone)
+    }
+}
+
+impl<S: WriteStack> Session<S> {
+    pub(crate) fn open(service: S, user: UserId) -> Session<S> {
+        Session {
+            subscription: service.subscribe(),
+            service,
+            user,
+            cache: Mutex::new(None),
+        }
+    }
+
     /// The user this session acts as.
     pub fn user(&self) -> UserId {
         self.user
     }
 
     /// The owning service.
-    pub fn service(&self) -> &Service {
+    pub fn service(&self) -> &S {
         &self.service
     }
 
-    /// The currently published [`Snapshot`] — the session's read view.
-    /// Cached per session: only the first read after a write batch
-    /// pays the (brief) shared snapshot lock.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
+    /// Runs a closure against the session's cached view, revalidated
+    /// first — the zero-shared-traffic read path.
+    fn with_view<R>(&self, f: impl FnOnce(&Arc<S::View>) -> R) -> R {
         let mut cache = lock(&self.cache);
-        self.refresh(&mut cache);
-        Arc::clone(cache.as_ref().expect("refresh filled the cache"))
-    }
-
-    /// Runs a closure against the session's (revalidated) cached view
-    /// without cloning the [`Arc`] — the zero-shared-traffic read path.
-    fn with_snapshot<R>(&self, f: impl FnOnce(&Snapshot) -> R) -> R {
-        let mut cache = lock(&self.cache);
-        self.refresh(&mut cache);
-        f(cache.as_ref().expect("refresh filled the cache"))
-    }
-
-    fn refresh(&self, cache: &mut Option<Arc<Snapshot>>) {
-        let published = self.service.inner.lane.published_seq();
-        let stale = cache.as_ref().is_none_or(|s| s.seq() != published);
-        if stale {
-            *cache = Some(self.service.snapshot());
+        if cache.as_ref().is_none_or(|v| !self.service.is_live(v)) {
+            *cache = Some(self.service.view());
         }
-    }
-
-    /// Drains the events committed since the last call (each with the
-    /// engine sequence number it committed at).
-    pub fn events(&self) -> Vec<(u64, Event)> {
-        lock(&self.events).drain(..).collect()
+        f(cache.as_ref().expect("revalidation filled the cache"))
     }
 
     /// Submits one raw op through the write queue and blocks until its
@@ -344,10 +425,10 @@ impl Session {
         self.apply_seq(op).map(|(_, event)| event)
     }
 
-    /// Like [`Session::apply`], also returning the engine sequence
-    /// number the op committed at — the handle read-your-writes
-    /// time-travel needs: `let (seq, _) = s.apply_seq(op)?;
-    /// s.at(seq)?` sees exactly that write (given it was retained).
+    /// Like [`Session::apply`], also returning the sequence number the
+    /// op committed at — the handle read-your-writes time travel
+    /// needs: `let (seq, _) = s.apply_seq(op)?; s.at(seq)?` sees
+    /// exactly that write (given it was retained).
     ///
     /// # Errors
     ///
@@ -356,84 +437,78 @@ impl Session {
         self.service.submit(op)
     }
 
-    /// This session's reads against the snapshot retained at commit
-    /// seq `seq` — time travel. The returned [`HistoryView`] answers
-    /// every zero-copy read of the live session at that fixed seq,
-    /// `&self`, without ever touching the write path.
+    /// This session's reads against the view retained at commit seq
+    /// `seq` — time travel. The returned [`HistoryView`] answers every
+    /// zero-copy read of the live session at that fixed seq, `&self`,
+    /// without ever touching the write path.
     ///
     /// # Errors
     ///
     /// Returns [`HybridError::SeqUnreachable`] when `seq` is not
     /// retained (see [`Service::at`]).
-    pub fn at(&self, seq: u64) -> HybridResult<HistoryView> {
-        Ok(HistoryView::new(self.user, self.service.at(seq)?))
+    pub fn at(&self, seq: u64) -> HybridResult<HistoryView<S::View>> {
+        Ok(HistoryView::new(self.user, seq, self.service.at(seq)?))
     }
 
-    /// Opens a branch [`Workspace`] on `cv` against the snapshot
-    /// retained at `seq`. Unlike [`Session::reserve`], this takes no
-    /// lock on the head — the reservation happens atomically inside
+    /// Opens a branch [`Workspace`] on `cv` against the view retained
+    /// at `seq`. Unlike [`Session::reserve`], this takes no lock on
+    /// the head — the reservation happens atomically inside
     /// [`Workspace::merge_forward`], and concurrent edits surface
     /// there as typed [`Event::MergeConflict`] outcomes.
     ///
     /// # Errors
     ///
     /// Returns [`HybridError::SeqUnreachable`] when `seq` is not
-    /// retained.
-    pub fn reserve_at(&self, cv: CellVersionId, seq: u64) -> HybridResult<Workspace> {
+    /// retained, and [`HybridError::ShardRouting`] on a sharded
+    /// service when `cv` was unknown at `seq`.
+    pub fn reserve_at(&self, cv: CellVersionId, seq: u64) -> HybridResult<Workspace<S>> {
         let base = self.service.at(seq)?;
-        Ok(Workspace::open(
-            MergeBackend::Single(self.service.clone()),
-            self.user,
-            cv,
-            &base,
-        ))
+        Workspace::open(self.service.clone(), self.user, cv, seq, &base)
     }
 
-    /// Reads design data from the published snapshot: zero-copy, in
-    /// parallel with other readers, never blocking on writers.
+    /// Reads design data from the session's view: zero-copy, in
+    /// parallel with other readers, never blocking on writers, never
+    /// journaled.
     ///
     /// # Errors
     ///
-    /// Returns desktop visibility errors.
+    /// Returns desktop visibility errors (and, on a sharded service,
+    /// [`HybridError::ShardRouting`] for unknown ids).
     pub fn read_design_data(&self, dov: DovId) -> HybridResult<Blob> {
-        self.with_snapshot(|snap| snap.read_design_data(self.user, dov))
+        self.with_view(|view| view.read_design_data(self.user, dov))
     }
 
-    /// Browses design data from the published snapshot (same zero-copy
+    /// Browses design data from the session's view (same zero-copy
     /// path as [`Session::read_design_data`]).
     ///
     /// # Errors
     ///
-    /// Returns desktop visibility errors.
+    /// Returns desktop visibility errors (and, on a sharded service,
+    /// [`HybridError::ShardRouting`] for unknown ids).
     pub fn browse(&self, dov: DovId) -> HybridResult<Blob> {
-        self.with_snapshot(|snap| snap.browse(self.user, dov))
+        self.with_view(|view| view.browse(self.user, dov))
     }
 
     // --- typed write wrappers (the session-side desktop) -----------------
 
-    fn expect<T>(event: Event, pick: impl FnOnce(Event) -> Option<T>) -> HybridResult<T> {
-        let kind = event.kind_name();
-        pick(event)
-            .ok_or_else(|| HybridError::Journal(format!("engine returned unexpected event {kind}")))
+    /// Applies `op` and returns only its commit seq.
+    fn commit(&self, op: Op) -> HybridResult<u64> {
+        self.apply_seq(op).map(|(seq, _)| seq)
     }
 
-    /// Adds a user (sessions are not permission-checked; the acting
-    /// user travels in the op where the desktop requires one).
+    /// Adds a user (broadcast on a sharded service; sessions are not
+    /// permission-checked, the acting user travels in the op where the
+    /// desktop requires one).
     ///
     /// # Errors
     ///
     /// Returns desktop errors (e.g. a taken name).
     pub fn add_user(&self, name: &str, manager: bool) -> HybridResult<UserId> {
-        Self::expect(
-            self.apply(Op::AddUser {
-                name: name.to_owned(),
-                manager,
-            })?,
-            |e| match e {
-                Event::UserAdded(id) => Some(id),
-                _ => None,
-            },
-        )
+        let name = name.to_owned();
+        match self.apply(Op::AddUser { name, manager })? {
+            Event::UserAdded(id) => Ok(id),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Adds a team owned by this session's user.
@@ -442,16 +517,11 @@ impl Session {
     ///
     /// Returns desktop errors.
     pub fn add_team(&self, name: &str) -> HybridResult<TeamId> {
-        Self::expect(
-            self.apply(Op::AddTeam {
-                actor: self.user,
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::TeamAdded(id) => Some(id),
-                _ => None,
-            },
-        )
+        let (actor, name) = (self.user, name.to_owned());
+        match self.apply(Op::AddTeam { actor, name })? {
+            Event::TeamAdded(id) => Ok(id),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Adds a member to a team.
@@ -460,11 +530,8 @@ impl Session {
     ///
     /// Returns desktop errors.
     pub fn add_team_member(&self, team: TeamId, user: UserId) -> HybridResult<()> {
-        self.apply(Op::AddTeamMember {
-            actor: self.user,
-            team,
-            user,
-        })?;
+        let actor = self.user;
+        self.commit(Op::AddTeamMember { actor, team, user })?;
         Ok(())
     }
 
@@ -474,32 +541,26 @@ impl Session {
     ///
     /// Returns desktop errors.
     pub fn standard_flow(&self, name: &str) -> HybridResult<StandardFlow> {
-        Self::expect(
-            self.apply(Op::DefineStandardFlow {
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::StandardFlowDefined(flow) => Some(flow),
-                _ => None,
-            },
-        )
+        let name = name.to_owned();
+        match self.apply(Op::DefineStandardFlow { name })? {
+            Event::StandardFlowDefined(flow) => Ok(flow),
+            other => Err(unexpected(&other)),
+        }
     }
 
-    /// Creates a project with its coupled FMCAD library.
+    /// Creates a project with its coupled FMCAD library — on a sharded
+    /// service, the op that *places* a partition on its owning shard
+    /// ([`shard_of_name`](crate::shard_of_name)).
     ///
     /// # Errors
     ///
     /// Returns name-clash errors from either framework.
     pub fn create_project(&self, name: &str) -> HybridResult<ProjectId> {
-        Self::expect(
-            self.apply(Op::CreateProject {
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::ProjectCreated(id) => Some(id),
-                _ => None,
-            },
-        )
+        let name = name.to_owned();
+        match self.apply(Op::CreateProject { name })? {
+            Event::ProjectCreated(id) => Ok(id),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// Creates a cell under a project.
@@ -508,19 +569,15 @@ impl Session {
     ///
     /// Returns desktop errors.
     pub fn create_cell(&self, project: ProjectId, name: &str) -> HybridResult<CellId> {
-        Self::expect(
-            self.apply(Op::CreateCell {
-                project,
-                name: name.to_owned(),
-            })?,
-            |e| match e {
-                Event::CellCreated(id) => Some(id),
-                _ => None,
-            },
-        )
+        let name = name.to_owned();
+        match self.apply(Op::CreateCell { project, name })? {
+            Event::CellCreated(id) => Ok(id),
+            other => Err(unexpected(&other)),
+        }
     }
 
-    /// Creates a cell version (and its mapped FMCAD cell).
+    /// Creates a cell version (and its mapped FMCAD cell) with its
+    /// initial variant.
     ///
     /// # Errors
     ///
@@ -531,44 +588,87 @@ impl Session {
         flow: FlowId,
         team: TeamId,
     ) -> HybridResult<(CellVersionId, VariantId)> {
-        Self::expect(
-            self.apply(Op::CreateCellVersion { cell, flow, team })?,
-            |e| match e {
-                Event::CellVersionCreated(cv, variant) => Some((cv, variant)),
-                _ => None,
-            },
-        )
+        match self.apply(Op::CreateCellVersion { cell, flow, team })? {
+            Event::CellVersionCreated(cv, variant) => Ok((cv, variant)),
+            other => Err(unexpected(&other)),
+        }
     }
 
-    /// Reserves a cell version for this session's user.
+    /// Derives a named variant of a reserved cell version.
+    ///
+    /// # Errors
+    ///
+    /// Returns reservation and naming errors.
+    pub fn derive_variant(
+        &self,
+        cv: CellVersionId,
+        name: &str,
+        base: Option<VariantId>,
+    ) -> HybridResult<VariantId> {
+        let (user, name) = (self.user, name.to_owned());
+        match self.apply(Op::DeriveVariant {
+            user,
+            cv,
+            name,
+            base,
+        })? {
+            Event::VariantDerived(id) => Ok(id),
+            other => Err(unexpected(&other)),
+        }
+    }
+
+    /// Reserves a cell version for this session's user; returns the
+    /// commit seq.
     ///
     /// # Errors
     ///
     /// Returns reservation errors.
-    pub fn reserve(&self, cv: CellVersionId) -> HybridResult<()> {
-        self.apply(Op::Reserve {
+    pub fn reserve(&self, cv: CellVersionId) -> HybridResult<u64> {
+        self.commit(Op::Reserve {
             user: self.user,
             cv,
-        })?;
-        Ok(())
+        })
     }
 
-    /// Publishes a cell version's design data.
+    /// Publishes a reserved cell version's design data; returns the
+    /// commit seq.
     ///
     /// # Errors
     ///
     /// Returns reservation errors.
-    pub fn publish(&self, cv: CellVersionId) -> HybridResult<()> {
-        self.apply(Op::Publish {
+    pub fn publish(&self, cv: CellVersionId) -> HybridResult<u64> {
+        self.commit(Op::Publish {
             user: self.user,
             cv,
-        })?;
-        Ok(())
+        })
+    }
+
+    /// Declares a hierarchy child of a cell version; returns the
+    /// commit seq. On a sharded service, a child cell in a different
+    /// partition makes this a cross-shard two-phase commit.
+    ///
+    /// # Errors
+    ///
+    /// Returns reservation and hierarchy errors.
+    pub fn declare_comp_of(&self, cv: CellVersionId, child: CellId) -> HybridResult<u64> {
+        let user = self.user;
+        self.commit(Op::DeclareCompOf { user, cv, child })
+    }
+
+    /// Marks two design object versions equivalent; returns the commit
+    /// seq (cross-shard when they live in different partitions).
+    ///
+    /// # Errors
+    ///
+    /// Returns desktop errors for unknown versions.
+    pub fn mark_equivalent(&self, a: DovId, b: DovId) -> HybridResult<u64> {
+        self.commit(Op::MarkEquivalent { a, b })
     }
 
     /// Runs an encapsulated activity with pre-recorded tool outputs
     /// (the replayable form of
-    /// [`Engine::run_activity`](crate::Engine::run_activity)).
+    /// [`Engine::run_activity`](crate::Engine::run_activity));
+    /// `session_error` replays a tool session that failed.
     ///
     /// # Errors
     ///
@@ -576,26 +676,32 @@ impl Session {
     pub fn run_activity(
         &self,
         variant: VariantId,
-        activity: jcf::ActivityId,
+        activity: ActivityId,
         override_pending: bool,
-        outputs: Vec<crate::ToolOutput>,
+        outputs: Vec<ToolOutput>,
         session_error: Option<String>,
     ) -> HybridResult<Vec<DovId>> {
-        Self::expect(
-            self.apply(Op::RunActivity {
-                user: self.user,
-                variant,
-                activity,
-                override_pending,
-                outputs: outputs.into_iter().map(|o| (o.viewtype, o.data)).collect(),
-                session_error,
-            })?,
-            |e| match e {
-                Event::ActivityRun { dovs } => Some(dovs),
-                _ => None,
-            },
-        )
+        match self.apply(Op::RunActivity {
+            user: self.user,
+            variant,
+            activity,
+            override_pending,
+            outputs: outputs.into_iter().map(|o| (o.viewtype, o.data)).collect(),
+            session_error,
+        })? {
+            Event::ActivityRun { dovs } => Ok(dovs),
+            other => Err(unexpected(&other)),
+        }
     }
+}
+
+/// The typed error for a committed op whose event does not match its
+/// kind.
+fn unexpected(event: &Event) -> HybridError {
+    HybridError::Journal(format!(
+        "engine returned unexpected event {}",
+        event.kind_name()
+    ))
 }
 
 #[cfg(test)]

@@ -74,13 +74,24 @@
 //! and where it charges engine time; it never holds the router across
 //! an engine apply.
 //!
+//! # Sessions
+//!
+//! [`ShardedSession`] is the one [`Session`] type instantiated over
+//! this service: the same typed wrappers, return shapes and error
+//! kinds as a single-engine session, in virtual ids. Its `browse` and
+//! `read_design_data` read a per-session cached [`ShardView`],
+//! revalidated against the view version: zero-copy, journaling nothing
+//! and touching no write lane. Submit [`Op::Browse`] or
+//! [`Op::ReadDesignData`] to take the journaled §3.6 copy path.
+//!
 //! # Simplifications
 //!
 //! The sharded service does not fan events out to per-session
 //! subscription queues (use [`Service`](crate::Service) when event
 //! subscriptions matter); each write returns its own `(seq, event)`
-//! pair instead. Recovery requires the same shard count the journals
-//! were written with (it is recorded in `router.meta`).
+//! pair instead, through [`Session::apply_seq`] or the seq-returning
+//! wrappers. Recovery requires the same shard count the journals were
+//! written with (it is recorded in `router.meta`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,9 +112,10 @@ use crate::error::{HybridError, HybridResult};
 use crate::events::{Event, MergeConflict};
 use crate::framework::{MirrorLocation, StagingMode, StandardFlow};
 use crate::future::FutureFeatures;
-use crate::history::{HistoryRing, RetentionPolicy, Workspace};
+use crate::history::{HistoryRing, RetentionPolicy};
 use crate::lane::{lock, Lane, Outcome};
 use crate::ops::Op;
+use crate::service::{ReadView, Session, WriteStack};
 use crate::snapshot::Snapshot;
 
 /// First virtual id. Everything below is a bootstrap-era local id,
@@ -1389,7 +1401,7 @@ struct ShardInner {
     version: AtomicU64,
     view: Mutex<Option<Arc<ShardView>>>,
     /// The retention ring of composed views, keyed by global commit
-    /// seq — the sharded twin of the single-engine service's ring.
+    /// seq.
     history: Mutex<HistoryRing<Arc<ShardView>>>,
     admin: UserId,
 }
@@ -1475,10 +1487,7 @@ impl ShardedService {
     /// sharded sessions do not subscribe to an event stream — each
     /// write returns its own `(seq, event)` pair instead.
     pub fn open_session(&self, user: UserId) -> ShardedSession {
-        ShardedSession {
-            service: self.clone(),
-            user,
-        }
+        Session::open(self.clone(), user)
     }
 
     /// Runs a closure against the router under its lock, charging the
@@ -1570,8 +1579,7 @@ impl ShardedService {
     /// [`HybridError::SeqUnreachable`] (naming the closest retained
     /// boundary) when `seq` was never retained or has been evicted.
     pub fn at(&self, seq: u64) -> HybridResult<Arc<ShardView>> {
-        let history = lock(&self.inner.history);
-        history.get(seq).ok_or_else(|| history.unreachable(seq))
+        lock(&self.inner.history).at(seq)
     }
 
     /// Pins a retained seq so it survives ring eviction.
@@ -2161,241 +2169,32 @@ impl Default for ShardedServiceBuilder {
 // Sessions and the composed read view
 // ---------------------------------------------------------------------------
 
-/// A user-scoped handle over a [`ShardedService`].
-///
-/// Every id a session takes or returns is in *virtual* form — callers
-/// never see shard-local ids unless they go through the
-/// [`ShardView::shard`] escape hatch.
-#[derive(Debug, Clone)]
-pub struct ShardedSession {
-    service: ShardedService,
-    user: UserId,
-}
+/// A user-scoped handle over a [`ShardedService`]: the one [`Session`]
+/// type, instantiated for the sharded write stack. Every id it takes
+/// or returns is in *virtual* form — callers never see shard-local ids
+/// unless they go through the [`ShardView::shard`] escape hatch.
+pub type ShardedSession = Session<ShardedService>;
 
-impl ShardedSession {
-    /// The user this session acts as.
-    pub fn user(&self) -> UserId {
-        self.user
+impl WriteStack for ShardedService {
+    type View = ShardView;
+    type Subscription = ();
+
+    fn subscribe(&self) {}
+
+    fn submit(&self, op: Op) -> HybridResult<(u64, Event)> {
+        ShardedService::submit(self, op)
     }
 
-    /// The service behind this session.
-    pub fn service(&self) -> &ShardedService {
-        &self.service
+    fn view(&self) -> Arc<ShardView> {
+        ShardedService::view(self)
     }
 
-    /// The current composed cross-shard read view.
-    pub fn view(&self) -> Arc<ShardView> {
-        self.service.view()
+    fn is_live(&self, view: &ShardView) -> bool {
+        view.version == self.inner.version.load(Ordering::Acquire)
     }
 
-    /// Submits one raw op; see [`ShardedService::submit`].
-    pub fn apply(&self, op: Op) -> HybridResult<(u64, Event)> {
-        self.service.submit(op)
-    }
-
-    /// This session's read handle on the retained composed view at
-    /// commit seq `seq` — the sharded
-    /// [`Session::at`](crate::Session::at).
-    ///
-    /// # Errors
-    ///
-    /// [`HybridError::SeqUnreachable`] when `seq` is not retained.
-    pub fn at(&self, seq: u64) -> HybridResult<ShardHistoryView> {
-        Ok(ShardHistoryView {
-            user: self.user,
-            seq,
-            view: self.service.at(seq)?,
-        })
-    }
-
-    /// Opens a branch [`Workspace`] on `cv` against the retained view
-    /// at `seq` — the sharded
-    /// [`Session::reserve_at`](crate::Session::reserve_at). The merge
-    /// routes to `cv`'s owning shard like any other single-partition
-    /// op.
-    ///
-    /// # Errors
-    ///
-    /// [`HybridError::SeqUnreachable`] when `seq` is not retained;
-    /// [`HybridError::ShardRouting`] when `cv` was unknown at `seq`.
-    pub fn reserve_at(&self, cv: CellVersionId, seq: u64) -> HybridResult<Workspace> {
-        let base = self.service.at(seq)?;
-        Workspace::open_sharded(self.service.clone(), self.user, cv, seq, &base)
-    }
-
-    /// Adds a user (broadcast). Admin-only names are enforced by the
-    /// engines, identically on every shard.
-    pub fn add_user(&self, name: &str, manager: bool) -> HybridResult<UserId> {
-        match self.apply(Op::AddUser {
-            name: name.into(),
-            manager,
-        })? {
-            (_, Event::UserAdded(id)) => Ok(id),
-            (_, other) => unreachable!("add-user produced {other:?}"),
-        }
-    }
-
-    /// Adds a team (broadcast).
-    pub fn add_team(&self, name: &str) -> HybridResult<TeamId> {
-        match self.apply(Op::AddTeam {
-            actor: self.user,
-            name: name.into(),
-        })? {
-            (_, Event::TeamAdded(id)) => Ok(id),
-            (_, other) => unreachable!("add-team produced {other:?}"),
-        }
-    }
-
-    /// Adds a member to a team (broadcast).
-    pub fn add_team_member(&self, team: TeamId, user: UserId) -> HybridResult<()> {
-        self.apply(Op::AddTeamMember {
-            actor: self.user,
-            team,
-            user,
-        })?;
-        Ok(())
-    }
-
-    /// Defines and freezes the standard three-tool flow (broadcast).
-    pub fn standard_flow(&self, name: &str) -> HybridResult<StandardFlow> {
-        match self.apply(Op::DefineStandardFlow { name: name.into() })? {
-            (_, Event::StandardFlowDefined(flow)) => Ok(flow),
-            (_, other) => unreachable!("define-standard-flow produced {other:?}"),
-        }
-    }
-
-    /// Creates a project — the op that *places* a partition on its
-    /// owning shard ([`shard_of_name`]).
-    pub fn create_project(&self, name: &str) -> HybridResult<ProjectId> {
-        match self.apply(Op::CreateProject { name: name.into() })? {
-            (_, Event::ProjectCreated(id)) => Ok(id),
-            (_, other) => unreachable!("create-project produced {other:?}"),
-        }
-    }
-
-    /// Creates a cell in a project (routed to the project's shard).
-    pub fn create_cell(&self, project: ProjectId, name: &str) -> HybridResult<CellId> {
-        match self.apply(Op::CreateCell {
-            project,
-            name: name.into(),
-        })? {
-            (_, Event::CellCreated(id)) => Ok(id),
-            (_, other) => unreachable!("create-cell produced {other:?}"),
-        }
-    }
-
-    /// Creates a cell version with its initial variant.
-    pub fn create_cell_version(
-        &self,
-        cell: CellId,
-        flow: FlowId,
-        team: TeamId,
-    ) -> HybridResult<(CellVersionId, VariantId)> {
-        match self.apply(Op::CreateCellVersion { cell, flow, team })? {
-            (_, Event::CellVersionCreated(cv, variant)) => Ok((cv, variant)),
-            (_, other) => unreachable!("create-cell-version produced {other:?}"),
-        }
-    }
-
-    /// Derives a named variant of a reserved cell version.
-    pub fn derive_variant(
-        &self,
-        cv: CellVersionId,
-        name: &str,
-        base: Option<VariantId>,
-    ) -> HybridResult<VariantId> {
-        match self.apply(Op::DeriveVariant {
-            user: self.user,
-            cv,
-            name: name.into(),
-            base,
-        })? {
-            (_, Event::VariantDerived(id)) => Ok(id),
-            (_, other) => unreachable!("derive-variant produced {other:?}"),
-        }
-    }
-
-    /// Reserves a cell version for this session's user.
-    pub fn reserve(&self, cv: CellVersionId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::Reserve {
-            user: self.user,
-            cv,
-        })?;
-        Ok(seq)
-    }
-
-    /// Publishes a reserved cell version.
-    pub fn publish(&self, cv: CellVersionId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::Publish {
-            user: self.user,
-            cv,
-        })?;
-        Ok(seq)
-    }
-
-    /// Declares a hierarchy child of a cell version. When the child
-    /// cell lives in a different partition this is a cross-shard
-    /// two-phase commit.
-    pub fn declare_comp_of(&self, cv: CellVersionId, child: CellId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::DeclareCompOf {
-            user: self.user,
-            cv,
-            child,
-        })?;
-        Ok(seq)
-    }
-
-    /// Marks two design object versions equivalent (cross-shard when
-    /// they live in different partitions).
-    pub fn mark_equivalent(&self, a: DovId, b: DovId) -> HybridResult<u64> {
-        let (seq, _) = self.apply(Op::MarkEquivalent { a, b })?;
-        Ok(seq)
-    }
-
-    /// Runs an activity with pre-computed tool outputs (the
-    /// replay-form op, which is what keeps sharded runs byte-identical
-    /// with the single-engine golden tables).
-    pub fn run_activity(
-        &self,
-        variant: VariantId,
-        activity: ActivityId,
-        override_pending: bool,
-        outputs: Vec<(String, Blob)>,
-    ) -> HybridResult<Vec<DovId>> {
-        match self.apply(Op::RunActivity {
-            user: self.user,
-            variant,
-            activity,
-            override_pending,
-            outputs,
-            session_error: None,
-        })? {
-            (_, Event::ActivityRun { dovs }) => Ok(dovs),
-            (_, other) => unreachable!("run-activity produced {other:?}"),
-        }
-    }
-
-    /// Browses a design object version (journaled read; pays the
-    /// staging copy path on the owning shard).
-    pub fn browse(&self, dov: DovId) -> HybridResult<Blob> {
-        match self.apply(Op::Browse {
-            user: self.user,
-            dov,
-        })? {
-            (_, Event::Browsed { data }) => Ok(data),
-            (_, other) => unreachable!("browse produced {other:?}"),
-        }
-    }
-
-    /// Reads design data via the desktop (journaled read).
-    pub fn read_design_data(&self, dov: DovId) -> HybridResult<Blob> {
-        match self.apply(Op::ReadDesignData {
-            user: self.user,
-            dov,
-        })? {
-            (_, Event::DesignDataRead { data }) => Ok(data),
-            (_, other) => unreachable!("read-design-data produced {other:?}"),
-        }
+    fn at(&self, seq: u64) -> HybridResult<Arc<ShardView>> {
+        ShardedService::at(self, seq)
     }
 }
 
@@ -2638,106 +2437,37 @@ impl ShardView {
         }
         Ok(out)
     }
+}
 
-    /// Per design object under `cv`, its version count — in virtual
-    /// ids, sorted by object. The optimistic-concurrency baseline of a
-    /// sharded [`Workspace`].
-    pub(crate) fn design_object_versions(
+impl ReadView for ShardView {
+    fn browse(&self, user: UserId, dov: DovId) -> HybridResult<Blob> {
+        ShardView::browse(self, user, dov)
+    }
+
+    fn read_design_data(&self, user: UserId, dov: DovId) -> HybridResult<Blob> {
+        ShardView::read_design_data(self, user, dov)
+    }
+
+    /// The owning shard's baseline, lifted into virtual ids.
+    fn design_object_versions(
         &self,
         cv: CellVersionId,
     ) -> HybridResult<Vec<(DesignObjectId, u32)>> {
         let (shard, local_cv) = self.resolve_cv(cv)?;
         let rev = self.reverse_maps();
-        let snap = &self.snaps[shard];
-        let mut out = Vec::new();
-        for variant in snap.jcf().variants_of(local_cv) {
-            for design_object in snap.jcf().design_objects_of(variant) {
-                let count = snap.jcf().versions_of_design_object(design_object).len() as u32;
-                let vid = ShardView::vid_of(&rev, shard, design_object.raw()).ok_or_else(|| {
-                    HybridError::ShardRouting(format!(
-                        "design object {} has no virtual id",
-                        design_object.raw()
-                    ))
-                })?;
-                out.push((DesignObjectId::from_raw(vid), count));
-            }
-        }
+        let mut out = self.snaps[shard]
+            .design_object_versions(local_cv)?
+            .into_iter()
+            .map(|(d, count)| match ShardView::vid_of(&rev, shard, d.raw()) {
+                Some(vid) => Ok((DesignObjectId::from_raw(vid), count)),
+                None => Err(HybridError::ShardRouting(format!(
+                    "design object {} has no virtual id",
+                    d.raw()
+                ))),
+            })
+            .collect::<HybridResult<Vec<_>>>()?;
         out.sort_unstable_by_key(|(d, _)| *d);
-        out.dedup();
         Ok(out)
-    }
-}
-
-/// A sharded session's read handle on one retained composed view: the
-/// cross-shard twin of [`HistoryView`](crate::HistoryView). All
-/// methods are `&self` and never touch any write lane.
-///
-/// Created by [`ShardedSession::at`].
-#[derive(Debug, Clone)]
-pub struct ShardHistoryView {
-    user: UserId,
-    seq: u64,
-    view: Arc<ShardView>,
-}
-
-impl ShardHistoryView {
-    /// The commit seq this view is fixed at.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The user the owning session acts as.
-    pub fn user(&self) -> UserId {
-        self.user
-    }
-
-    /// The underlying retained [`ShardView`], for arbitrary queries.
-    pub fn view(&self) -> &Arc<ShardView> {
-        &self.view
-    }
-
-    /// Browses a design object version as it stood at this seq
-    /// (zero-copy, owning shard's snapshot).
-    ///
-    /// # Errors
-    ///
-    /// Returns the same routing and visibility errors as the live
-    /// [`ShardView::browse`].
-    pub fn browse(&self, dov: DovId) -> HybridResult<Blob> {
-        self.view.browse(self.user, dov)
-    }
-
-    /// Reads design data via the desktop as it stood at this seq.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same routing and visibility errors as the live
-    /// [`ShardView::read_design_data`].
-    pub fn read_design_data(&self, dov: DovId) -> HybridResult<Blob> {
-        self.view.read_design_data(self.user, dov)
-    }
-
-    /// Everything that goes stale if `cv` changes, evaluated on this
-    /// seq's cross-shard graph (see [`ShardView::stale_dovs`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HybridError::ShardRouting`] for ids the view does not know.
-    pub fn stale_dovs(&self, cv: CellVersionId) -> HybridResult<Vec<DovId>> {
-        self.view.stale_dovs(cv)
-    }
-
-    /// The stale set narrowed to FMCAD-mirrored cellviews
-    /// (see [`ShardView::impacted_cellviews`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HybridError::ShardRouting`] for ids the view does not know.
-    pub fn impacted_cellviews(
-        &self,
-        cv: CellVersionId,
-    ) -> HybridResult<Vec<(DovId, Arc<MirrorLocation>)>> {
-        self.view.impacted_cellviews(cv)
     }
 }
 
@@ -2781,6 +2511,7 @@ impl ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encapsulation::ToolOutput;
 
     const NETLIST: &[u8] = b"netlist adder\nport a input\n";
 
@@ -2826,7 +2557,11 @@ mod tests {
                 variant,
                 b.flow.enter_schematic,
                 false,
-                vec![("schematic".into(), NETLIST.to_vec().into())],
+                vec![ToolOutput {
+                    viewtype: "schematic".into(),
+                    data: NETLIST.to_vec().into(),
+                }],
+                None,
             )
             .expect("schematic entry");
         (project, cell, cv, variant, dovs[0])
@@ -2855,7 +2590,7 @@ mod tests {
             .service
             .open_session(b.designer)
             .browse(dov)
-            .expect("journaled browse");
+            .expect("snapshot browse");
         assert_eq!(via_session.as_slice(), NETLIST);
     }
 
@@ -2893,7 +2628,7 @@ mod tests {
                     alice.reserve(cv).expect("free version");
                     stream.push(
                         alice
-                            .apply(Op::RunActivity {
+                            .apply_seq(Op::RunActivity {
                                 user: b.designer,
                                 variant,
                                 activity: b.flow.enter_schematic,
@@ -3021,7 +2756,7 @@ mod tests {
         let next = recovered.open_session(b.designer);
         let before = b.service.stats().seq;
         let (seq, _) = next
-            .apply(Op::CreateProject { name: "fpu".into() })
+            .apply_seq(Op::CreateProject { name: "fpu".into() })
             .expect("post-recovery write");
         assert_eq!(seq, before);
         assert_eq!(

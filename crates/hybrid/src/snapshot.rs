@@ -19,11 +19,12 @@
 use std::sync::Arc;
 
 use cad_vfs::Blob;
-use jcf::{CellVersionId, DovId, Jcf, ProjectId, UserId, ViewTypeId};
+use jcf::{CellVersionId, DesignObjectId, DovId, Jcf, ProjectId, UserId, ViewTypeId};
 use oms::PMap;
 
 use crate::error::{HybridError, HybridResult};
 use crate::framework::{Hybrid, MirrorLocation, StagingMode};
+use crate::service::ReadView;
 
 /// A frozen, thread-shareable view of an engine: the master framework
 /// (with its OMS database) plus the Table-1 coupling maps, fixed at
@@ -220,6 +221,32 @@ impl Snapshot {
             .into_iter()
             .filter_map(|dov| self.dov_mirror.get(&dov).map(|m| (dov, Arc::clone(m))))
             .collect()
+    }
+}
+
+impl ReadView for Snapshot {
+    fn browse(&self, user: UserId, dov: DovId) -> HybridResult<Blob> {
+        Snapshot::browse(self, user, dov)
+    }
+
+    fn read_design_data(&self, user: UserId, dov: DovId) -> HybridResult<Blob> {
+        Snapshot::read_design_data(self, user, dov)
+    }
+
+    fn design_object_versions(
+        &self,
+        cv: CellVersionId,
+    ) -> HybridResult<Vec<(DesignObjectId, u32)>> {
+        let jcf = &self.jcf;
+        let mut out: Vec<(DesignObjectId, u32)> = jcf
+            .variants_of(cv)
+            .into_iter()
+            .flat_map(|variant| jcf.design_objects_of(variant))
+            .map(|d| (d, jcf.versions_of_design_object(d).len() as u32))
+            .collect();
+        out.sort_unstable_by_key(|(d, _)| *d);
+        out.dedup();
+        Ok(out)
     }
 }
 

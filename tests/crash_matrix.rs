@@ -711,7 +711,7 @@ fn cross_shard_prepare_without_both_commits_is_rolled_back() {
     // the op can simply be resubmitted.
     let session = recovered.open_session(w.alice.user());
     let (next_seq, _) = session
-        .apply(Op::DeclareCompOf {
+        .apply_seq(Op::DeclareCompOf {
             user: w.alice.user(),
             cv: w.cv_a,
             child: w.cell_b,

@@ -805,7 +805,7 @@ fn shard_step(rig: &mut ShardRig, rng: &mut SplitMix64) -> String {
             _ => fresh_project(rig),
         },
     };
-    match rig.sessions[who].apply(op) {
+    match rig.sessions[who].apply_seq(op) {
         Ok((seq, event)) => {
             match &event {
                 Event::ProjectCreated(id) => rig.projects.push(*id),

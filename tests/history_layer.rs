@@ -23,6 +23,7 @@ use hybrid::{
     ToolOutput,
 };
 use jcf::{CellVersionId, DesignObjectId, DovId, TeamId, UserId, VariantId};
+use test_support::{pick, SplitMix64};
 
 // --- single-engine scaffolding ------------------------------------------
 
@@ -517,7 +518,11 @@ fn sharded_merge_transcript(shards: usize) -> Vec<String> {
                 variant,
                 flow.enter_schematic,
                 false,
-                vec![("schematic".into(), Blob::from(format!("netlist {i}")))],
+                vec![ToolOutput {
+                    viewtype: "schematic".into(),
+                    data: Blob::from(format!("netlist {i}")),
+                }],
+                None,
             )
             .expect("activity");
         let base_seq = alice.publish(cv).expect("publish");
@@ -536,7 +541,11 @@ fn sharded_merge_transcript(shards: usize) -> Vec<String> {
                         variant,
                         flow.enter_schematic,
                         false,
-                        vec![("schematic".into(), Blob::from(b"live v2".to_vec()))],
+                        vec![ToolOutput {
+                            viewtype: "schematic".into(),
+                            data: Blob::from(b"live v2".to_vec()),
+                        }],
+                        None,
                     )
                     .expect("live activity");
                 alice.publish(cv).expect("live publish");
@@ -605,7 +614,11 @@ fn sharded_time_travel_reads_the_past() {
             variant,
             flow.enter_schematic,
             false,
-            vec![("schematic".into(), Blob::from(b"netlist v1".to_vec()))],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data: Blob::from(b"netlist v1".to_vec()),
+            }],
+            None,
         )
         .expect("activity");
     let published_seq = alice.publish(cv).expect("publish");
@@ -629,6 +642,219 @@ fn sharded_time_travel_reads_the_past() {
         Vec::<DovId>::new()
     );
     assert!(after.impacted_cellviews(cv).expect("resolvable").is_empty());
+}
+
+// --- one session type over both write stacks ------------------------------
+
+/// Drives one seeded typed-session script through a fresh `Service` or
+/// `ShardedService` and renders every outcome without ids (which are
+/// local on one engine and virtual across shards): successes as `ok`
+/// with their commit seq (counted from the end of the set-up, since a
+/// single engine numbers from 1 and the shard router from 0) or
+/// id-free payload, failures as `err|kind`,
+/// reads as bytes. Live session reads also assert that they commit
+/// nothing and copy nothing. The session's stack bound is private to
+/// `hybrid`, so a macro rather than a generic fn runs the one script
+/// over both stacks.
+macro_rules! session_parity_script {
+    ($service:expr, $seed:expr) => {{
+        let service = $service;
+        let head = || *service.retained_seqs().last().expect("head retained");
+        let render = |r: Result<Blob, HybridError>| match r {
+            Ok(blob) => format!("ok|{:?}", String::from_utf8_lossy(blob.as_slice())),
+            Err(e) => format!("err|{}", e.kind()),
+        };
+        let kind = |e: HybridError| format!("err|{}", e.kind());
+        let mut rng = SplitMix64::new($seed);
+        let mut out = Vec::new();
+
+        let admin = service.open_session(service.admin());
+        let alice_id = admin.add_user("alice", false).expect("alice");
+        let bob_id = admin.add_user("bob", false).expect("bob");
+        out.push(
+            admin
+                .add_user("alice", false)
+                .map_or_else(kind, |_| "ok".into()),
+        );
+        let team = admin.add_team("asic").expect("team");
+        admin.add_team_member(team, alice_id).expect("alice joins");
+        admin.add_team_member(team, bob_id).expect("bob joins");
+        let flow = admin.standard_flow("asic").expect("flow");
+        let alice = service.open_session(alice_id);
+        let bob = service.open_session(bob_id);
+        // Three partitions, each with a versioned top cell and a leaf
+        // cell. Hierarchy stays inside one partition: across partitions
+        // the shard router records a comp-of without the reservation
+        // and cross-project checks a single engine runs.
+        let (mut cells, mut slots, mut dovs, mut seqs) = (vec![], vec![], vec![], vec![]);
+        for (p, name) in ["alu16", "filter", "uart"].into_iter().enumerate() {
+            let project = alice.create_project(name).expect("project");
+            let top = alice.create_cell(project, "top").expect("cell");
+            cells.push((p, alice.create_cell(project, "leaf").expect("cell")));
+            let (cv, variant) = alice
+                .create_cell_version(top, flow.flow, team)
+                .expect("cell version");
+            slots.push((p, cv, variant));
+        }
+        out.push(
+            alice
+                .create_project("alu16")
+                .map_or_else(kind, |_| "ok".into()),
+        );
+        let base = head();
+        let ok = |seq: u64| format!("ok|{}", seq - base);
+
+        for step in 0..120 {
+            // Alice drives two steps in three, Bob the rest.
+            let me = if rng.chance(1, 3) { &bob } else { &alice };
+            let line = match rng.below(11) {
+                0..=2 => match pick(&mut rng, &slots) {
+                    Some(&(p, _, variant)) => {
+                        let data = Blob::from(format!("netlist {step} {}", rng.next_u64()));
+                        let failed = rng.chance(1, 8).then(|| "simulator crashed".to_owned());
+                        let outputs = vec![ToolOutput {
+                            viewtype: "schematic".into(),
+                            data,
+                        }];
+                        match me.run_activity(variant, flow.enter_schematic, false, outputs, failed)
+                        {
+                            Ok(new) => {
+                                dovs.extend(new.iter().map(|&dov| (p, dov, head())));
+                                format!("ok|{} dovs", new.len())
+                            }
+                            Err(e) => kind(e),
+                        }
+                    }
+                    None => "skip".into(),
+                },
+                3 | 4 => match pick(&mut rng, &slots) {
+                    Some(&(_, cv, _)) => me.reserve(cv).map_or_else(kind, ok),
+                    None => "skip".into(),
+                },
+                5 => match pick(&mut rng, &slots) {
+                    Some(&(_, cv, _)) => me.publish(cv).map_or_else(kind, ok),
+                    None => "skip".into(),
+                },
+                6 => match (pick(&mut rng, &slots), pick(&mut rng, &cells)) {
+                    (Some(&(p, cv, _)), Some(&(q, child))) if p == q => {
+                        me.declare_comp_of(cv, child).map_or_else(kind, ok)
+                    }
+                    _ => "skip".into(),
+                },
+                7 => match (pick(&mut rng, &dovs), pick(&mut rng, &dovs)) {
+                    (Some(&(_, a, _)), Some(&(_, b, _))) => {
+                        me.mark_equivalent(a, b).map_or_else(kind, ok)
+                    }
+                    _ => "skip".into(),
+                },
+                8 => match pick(&mut rng, &slots) {
+                    Some(&(p, cv, _)) => {
+                        let name = format!("v{}", rng.below(4));
+                        match me.derive_variant(cv, &name, None) {
+                            Ok(variant) => {
+                                slots.push((p, cv, variant));
+                                "ok|derived".into()
+                            }
+                            Err(e) => kind(e),
+                        }
+                    }
+                    None => "skip".into(),
+                },
+                9 => match pick(&mut rng, &dovs) {
+                    Some(&(_, dov, _)) => {
+                        let before = (head(), Blob::materializations());
+                        let line = format!(
+                            "{} {}",
+                            render(me.browse(dov)),
+                            render(me.read_design_data(dov))
+                        );
+                        assert_eq!(
+                            (head(), Blob::materializations()),
+                            before,
+                            "step {step}: session reads committed or copied"
+                        );
+                        line
+                    }
+                    None => "skip".into(),
+                },
+                // Unknown ids are typed differently per stack (`jcf` on
+                // one engine, `shard-routing` across shards), so history
+                // reads only ask for versions that existed at the seq.
+                _ => match (pick(&mut rng, &seqs), pick(&mut rng, &dovs)) {
+                    (Some(&seq), Some(&(_, dov, born))) if born <= seq => match me.at(seq) {
+                        Ok(hv) => format!("at {} {}", hv.seq() - base, render(hv.browse(dov))),
+                        Err(e) => kind(e),
+                    },
+                    _ => "skip".into(),
+                },
+            };
+            seqs.push(head());
+            out.push(format!("{step}|{line}"));
+        }
+
+        // Branch every cell version off a mid-script seq and merge it
+        // back onto the head.
+        let branch_at = seqs.get(seqs.len() / 2).copied().unwrap_or(base);
+        let who = |user: UserId| if user == alice_id { "alice" } else { "bob" };
+        for &(_, cv, _) in &slots[..3] {
+            let mut ws = alice
+                .reserve_at(cv, branch_at)
+                .expect("branch point retained");
+            let objects: Vec<_> = ws.objects().collect();
+            for (i, object) in objects.into_iter().enumerate() {
+                ws.stage(object, Blob::from(format!("branch {i}")))
+                    .expect("stage");
+            }
+            out.push(match ws.merge_forward() {
+                Ok((seq, Event::MergeConflict { conflicts, .. })) => {
+                    let conflicts: Vec<String> = conflicts
+                        .iter()
+                        .map(|c| match c {
+                            MergeConflict::ReservedByOther { holder } => {
+                                format!("reserved-by-{}", who(*holder))
+                            }
+                            MergeConflict::DesignObjectAdvanced {
+                                expected, found, ..
+                            } => {
+                                format!("advanced-{expected}-{found}")
+                            }
+                        })
+                        .collect();
+                    format!("merge {} conflict {conflicts:?}", seq - base)
+                }
+                Ok((seq, event)) => format!("merge {} {}", seq - base, event.kind_name()),
+                Err(e) => kind(e),
+            });
+        }
+        out
+    }};
+}
+
+/// The one `Session` type answers identically over both write stacks:
+/// the same results and error kinds, the same bytes live and through
+/// `at(seq)`, the same merge outcomes — and its live reads are
+/// snapshot reads at every shard count.
+#[test]
+fn one_session_type_answers_identically_on_both_write_stacks() {
+    let seed = 0x5E55_0015_1995_0306;
+    let retention = RetentionPolicy::LastN(512);
+    let reference = session_parity_script!(
+        Service::with_retention(Engine::builder().build(), retention),
+        seed
+    );
+    for shards in [1usize, 2, 4] {
+        let sharded = session_parity_script!(
+            ShardedService::builder()
+                .shards(shards)
+                .retention(retention)
+                .build(),
+            seed
+        );
+        for (n, (have, want)) in sharded.iter().zip(&reference).enumerate() {
+            assert_eq!(have, want, "{shards}-shard session diverged at line {n}");
+        }
+        assert_eq!(sharded.len(), reference.len());
+    }
 }
 
 // --- the wire surface ---------------------------------------------------
@@ -726,7 +952,11 @@ fn the_sharded_backend_answers_history_identically() {
             variant,
             flow.enter_schematic,
             false,
-            vec![("schematic".into(), Blob::from(b"netlist v1".to_vec()))],
+            vec![ToolOutput {
+                viewtype: "schematic".into(),
+                data: Blob::from(b"netlist v1".to_vec()),
+            }],
+            None,
         )
         .expect("activity");
     let published_seq = alice.publish(cv).expect("publish");

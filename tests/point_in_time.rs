@@ -323,7 +323,11 @@ fn run_sharded_schedule(shards: usize, mode: StagingMode) -> (Vfs, Vec<(u64, Str
                         variant,
                         flow.enter_schematic,
                         false,
-                        vec![("schematic".to_owned(), bytes.into())],
+                        vec![ToolOutput {
+                            viewtype: "schematic".to_owned(),
+                            data: bytes.into(),
+                        }],
+                        None,
                     );
                 }
             }
