@@ -4,16 +4,18 @@
 //! framework instance; the desktop sessions of E12 modeled that
 //! in-process. E16 measures the same multi-tenant story at the wire:
 //! N real TCP clients (each a `cad-net` connection with its own
-//! handshake, identity and pipelining window) drive the
+//! handshake, identity and server thread) drive the
 //! [`hybrid::Service`] group-commit path through the framed protocol
 //! and we record end-to-end commit latency per op.
 //!
 //! Each client pipelines its whole burst before reading a single
 //! reply, so the generator is open-loop *within* a connection: the
-//! server's inflight window and the TCP receive buffer — not the
-//! client's request/response cadence — decide how much work is
-//! outstanding. Latency is measured from the instant a request frame
-//! is written to the instant its reply frame is parsed.
+//! TCP socket buffers, not the client's request/response cadence,
+//! decide how much work is outstanding (the server reads one request,
+//! answers it, then reads the next). Each connection costs two
+//! threads: the client's and the server's. Latency is measured from
+//! the instant a request frame is written to the instant its reply
+//! frame is parsed.
 //!
 //! Gated properties:
 //!

@@ -323,14 +323,14 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors; a non-`pong` answer is a protocol violation.
+    /// Transport errors, or [`WireError::Rejected`] if the server
+    /// sent a terminal `err` frame; any other non-`pong` answer is a
+    /// protocol violation.
     pub fn ping(&mut self) -> Result<(), WireError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame(&mut self.stream, &Request::Ping { id }.encode())?;
-        let payload = read_frame(&mut self.stream, self.max_frame)?;
-        match Response::parse(&payload)? {
-            Response::Pong { id: got } if got == id => Ok(()),
+        match self.round_trip(&Request::Ping { id }, id)? {
+            Outcome::Pong => Ok(()),
             other => Err(WireError::Malformed(format!(
                 "expected pong, got {other:?}"
             ))),
@@ -355,5 +355,47 @@ impl Client {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+
+    #[test]
+    fn ping_reports_a_terminal_err_as_rejected() {
+        // A fake server: completes the handshake, then answers the
+        // ping with a terminal `err` frame.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream, crate::proto::MAX_FRAME).unwrap();
+            let welcome = Response::Welcome {
+                version: PROTOCOL_VERSION,
+                session: 1,
+                user: 1,
+                admin: true,
+            };
+            write_frame(&mut stream, &welcome.encode()).unwrap();
+            read_frame(&mut stream, crate::proto::MAX_FRAME).unwrap();
+            let err = Response::Err {
+                code: "timeout".into(),
+                msg: "idle timeout".into(),
+            };
+            write_frame(&mut stream, &err.encode()).unwrap();
+        });
+
+        let mut client = Client::connect(addr, "anyone").unwrap();
+        match client.ping() {
+            Err(WireError::Rejected { code, msg }) => {
+                assert_eq!(code, "timeout");
+                assert_eq!(msg, "idle timeout");
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        server.join().unwrap();
     }
 }

@@ -19,11 +19,14 @@
 //!   identity they authenticate as: ops embedding someone else's
 //!   identity are rejected with a typed `identity` failure
 //!   ([`policy`]), mirroring the desktop visibility model on writes.
-//! * **Backpressure** ([`Server`]): a bounded per-connection inflight
-//!   window (TCP flow control does the rest) plus a typed `busy`
-//!   response once the engine's write queue passes a threshold, so a
-//!   flooding client degrades *itself* first and the commit path
-//!   never wedges.
+//! * **Threading and backpressure** ([`Server`]): one thread per
+//!   connection reads a request, answers it and only then reads the
+//!   next, so replies stay in request order and a pipelining client
+//!   is held back by TCP flow control; a typed `busy` response once
+//!   the engine's write queue passes a threshold means a flooding
+//!   client degrades *itself* first and the commit path never wedges.
+//!   Streams run with `TCP_NODELAY` and each frame leaves in one
+//!   write, so a reply costs about as much as the op behind it.
 //! * **Fault containment**: oversized, torn, non-UTF-8 and otherwise
 //!   hostile frames get a typed terminal error or a clean close —
 //!   never a panic, never a corrupted engine (the adversarial suite

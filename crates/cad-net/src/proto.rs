@@ -115,6 +115,10 @@ impl From<io::Error> for WireError {
 
 /// Writes one frame: 4-byte big-endian length plus the payload.
 ///
+/// Header and payload go to the writer as one buffer: on a socket, a
+/// header written alone would leave the payload held back by Nagle's
+/// algorithm until the peer's delayed ACK.
+///
 /// # Errors
 ///
 /// Returns transport errors (including write timeouts surfaced as
@@ -123,8 +127,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     let len = u32::try_from(bytes.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -644,6 +650,37 @@ mod tests {
             read_frame(&mut r, 1024),
             Err(WireError::Oversized { .. })
         ));
+    }
+
+    /// A writer that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, "pong|id=1").unwrap();
+        assert_eq!(w.writes, 1, "header and payload must leave together");
+        write_frame(&mut w, "").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), "pong|id=1");
+        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), "");
     }
 
     #[test]

@@ -1,38 +1,45 @@
 //! The protocol server: a thread-per-connection TCP front-end with a
-//! bounded accept pool, per-connection pipelining and explicit
-//! backpressure.
+//! bounded accept pool and explicit backpressure.
 //!
 //! # Threading model
 //!
 //! One acceptor thread owns the listener. Each accepted connection
-//! gets two threads: a *reader* that deframes and parses requests,
-//! and an *executor* that applies them against the [`Backend`] and
-//! writes responses in request order. The two are joined by a bounded
-//! channel whose capacity is the connection's *inflight window*: a
-//! client that pipelines more requests than the window simply stops
-//! being read, so TCP flow control pushes the backpressure all the
-//! way back to the sender without the server buffering unboundedly.
+//! gets one thread that runs the whole session: it reads a request
+//! frame through a small read buffer, checks and executes it against
+//! the [`Backend`], writes the reply, and only then reads the next
+//! request. Replies therefore leave in request order, at most one
+//! request per connection is being answered at a time, and a client
+//! may pipeline as deep as the socket buffers let it.
+//!
+//! Every accepted stream has `TCP_NODELAY` set and every frame leaves
+//! in one write, so a reply reaches the client as soon as it is
+//! encoded instead of waiting for the client's delayed ACK.
 //!
 //! # Backpressure
 //!
 //! Two mechanisms layer on top of each other:
 //!
-//! * **Per-connection**: the inflight window above (implicit, via TCP).
-//! * **Engine-wide**: before executing an op the executor samples the
-//!   backend's write-queue depth; at or above the configured
-//!   threshold it answers a typed `busy` response *without executing
-//!   the op*, so one saturating client cannot wedge the commit path
-//!   for everyone else.
+//! * **Per-connection**: while a request is being answered the server
+//!   reads nothing more from that socket, so a client that pipelines
+//!   faster than it is served fills the socket buffers and TCP flow
+//!   control stops the sender. The server holds at most one parsed
+//!   request per connection, plus its read buffer.
+//! * **Engine-wide**: before executing an op the connection thread
+//!   samples the backend's write-queue depth; at or above the
+//!   configured threshold it answers a typed `busy` response *without
+//!   executing the op*, so one saturating client cannot wedge the
+//!   commit path for everyone else.
 //!
 //! Slow *readers* (clients that stop draining responses) are bounded
 //! by the write timeout: a blocked response write times out and the
-//! connection is dropped, freeing its threads and permit.
+//! connection is dropped, freeing its thread and permit. The idle
+//! timeout bounds only the wait for the next request, never the time
+//! the server spends answering one.
 
-use std::io;
+use std::io::{self, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -55,9 +62,6 @@ pub struct ServerConfig {
     /// Maximum concurrent connections; further accepts are answered
     /// with a terminal `err|code=capacity` frame.
     pub max_conns: usize,
-    /// Per-connection pipelining window: parsed-but-unexecuted
-    /// requests the server buffers before it stops reading the socket.
-    pub inflight_window: usize,
     /// Write-queue depth at which ops are answered `busy` instead of
     /// being executed.
     pub busy_threshold: u64,
@@ -76,7 +80,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             max_conns: 128,
-            inflight_window: 32,
             busy_threshold: 1024,
             max_frame: crate::proto::MAX_FRAME,
             handshake_timeout: Duration::from_secs(5),
@@ -264,7 +267,7 @@ fn accept_loop<B: Backend>(
             .stack_size(CONN_STACK)
             .spawn(move || {
                 let guarded = catch_unwind(AssertUnwindSafe(|| {
-                    handle_connection(stream, session, &config, &backend, &stats_for_conn);
+                    handle_connection(stream, session, &config, &*backend, &stats_for_conn);
                 }));
                 if guarded.is_err() {
                     stats_for_conn.panics.fetch_add(1, Ordering::Relaxed);
@@ -291,34 +294,6 @@ fn refuse(mut stream: TcpStream, config: &ServerConfig) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// One parsed request travelling from the reader to the executor.
-enum Work {
-    Op {
-        id: u64,
-        op: Op,
-    },
-    Ping {
-        id: u64,
-    },
-    HistoryRetained {
-        id: u64,
-    },
-    HistoryRead {
-        id: u64,
-        seq: u64,
-        dov: u64,
-    },
-    HistoryImpact {
-        id: u64,
-        seq: u64,
-        cv: u64,
-    },
-    /// The reader hit a terminal condition; the executor sends the
-    /// `err` frame (if any) after draining earlier responses, then
-    /// closes.
-    Terminal(Option<(&'static str, String)>),
-}
-
 /// The session identity established by the handshake.
 struct Identity {
     user: UserId,
@@ -326,58 +301,46 @@ struct Identity {
     admin: bool,
 }
 
+/// A terminal condition: the `err` frame to send (`None`: close
+/// without one) before the connection is shut down.
+type Terminal = Option<(&'static str, String)>;
+
 fn handle_connection<B: Backend>(
     stream: TcpStream,
     session: u64,
     config: &ServerConfig,
-    backend: &Arc<B>,
-    stats: &Arc<NetStats>,
+    backend: &B,
+    stats: &NetStats,
 ) {
-    let mut reader = stream;
-    let identity = match handshake(&mut reader, session, config, &**backend, stats) {
-        Some(identity) => identity,
-        None => return,
-    };
-    stats.handshakes.fetch_add(1, Ordering::Relaxed);
-    let _ = reader.set_read_timeout(Some(config.idle_timeout));
-
-    let writer = match reader.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let (tx, rx) = sync_channel::<Work>(config.inflight_window.max(1));
-    let executor = {
-        let backend = Arc::clone(backend);
-        let stats = Arc::clone(stats);
-        let busy_threshold = config.busy_threshold;
-        std::thread::Builder::new()
-            .name(format!("cad-net-exec-{session}"))
-            .stack_size(CONN_STACK)
-            .spawn(move || executor_loop(writer, rx, identity, &*backend, busy_threshold, &stats))
-    };
-    let executor = match executor {
-        Ok(h) => h,
-        Err(_) => return,
-    };
-
-    reader_loop(&mut reader, config, stats, &tx);
-    drop(tx);
-    let _ = executor.join();
-    let _ = reader.shutdown(Shutdown::Both);
+    // Each reply is one small frame the client is waiting on; without
+    // this it would sit in the send buffer until the client's delayed
+    // ACK.
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
+    if let Some(identity) = handshake(&mut reader, &mut writer, session, config, backend, stats) {
+        stats.handshakes.fetch_add(1, Ordering::Relaxed);
+        // The idle timeout bounds only the wait for the next request:
+        // no read is outstanding while a request is being answered.
+        let _ = stream.set_read_timeout(Some(config.idle_timeout));
+        serve(&mut reader, &mut writer, &identity, config, backend, stats);
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Reads and validates the `hello` frame, answers `welcome` (or a
 /// terminal `err`), and returns the established identity.
 fn handshake<B: Backend>(
-    stream: &mut TcpStream,
+    reader: &mut impl Read,
+    stream: &mut &TcpStream,
     session: u64,
     config: &ServerConfig,
     backend: &B,
-    stats: &Arc<NetStats>,
+    stats: &NetStats,
 ) -> Option<Identity> {
     let _ = stream.set_read_timeout(Some(config.handshake_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let payload = match read_frame(stream, config.max_frame) {
+    let payload = match read_frame(reader, config.max_frame) {
         Ok(p) => p,
         Err(e) => {
             note_read_error(&e, stats);
@@ -447,7 +410,7 @@ fn handshake<B: Backend>(
 
 /// Classifies a read error into the terminal `err` frame it deserves
 /// (`None`: the peer is gone, nothing to send).
-fn terminal_for(e: &WireError) -> Option<(&'static str, String)> {
+fn terminal_for(e: &WireError) -> Terminal {
     match e {
         WireError::Closed | WireError::Torn { .. } => None,
         WireError::Oversized { .. } => Some(("oversized", e.to_string())),
@@ -464,7 +427,7 @@ fn terminal_for(e: &WireError) -> Option<(&'static str, String)> {
 }
 
 /// Bumps the right counter for a failed read.
-fn note_read_error(e: &WireError, stats: &Arc<NetStats>) {
+fn note_read_error(e: &WireError, stats: &NetStats) {
     match e {
         WireError::Closed => {}
         WireError::Io(io)
@@ -483,207 +446,170 @@ fn note_read_error(e: &WireError, stats: &Arc<NetStats>) {
 }
 
 /// Writes a terminal `err` frame if one is warranted.
-fn send_terminal(
-    stream: &mut TcpStream,
-    stats: &Arc<NetStats>,
-    terminal: Option<(&'static str, String)>,
-) {
+fn send_terminal(writer: &mut &TcpStream, stats: &NetStats, terminal: Terminal) {
     if let Some((code, msg)) = terminal {
         let resp = Response::Err {
             code: code.into(),
             msg,
         };
-        if write_frame(stream, &resp.encode()).is_ok() {
+        if write_frame(writer, &resp.encode()).is_ok() {
             stats.frames_out.fetch_add(1, Ordering::Relaxed);
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn reader_loop(
-    stream: &mut TcpStream,
+/// The established session: read one request, answer it, repeat. The
+/// next request is not read until the previous reply is written, so
+/// replies leave in request order and a pipelining client is held
+/// back by TCP flow control alone.
+fn serve<B: Backend>(
+    reader: &mut impl Read,
+    writer: &mut &TcpStream,
+    identity: &Identity,
     config: &ServerConfig,
-    stats: &Arc<NetStats>,
-    tx: &SyncSender<Work>,
+    backend: &B,
+    stats: &NetStats,
 ) {
     loop {
-        let payload = match read_frame(stream, config.max_frame) {
-            Ok(p) => p,
+        let response = match read_frame(reader, config.max_frame) {
+            Ok(payload) => {
+                stats.frames_in.fetch_add(1, Ordering::Relaxed);
+                answer(&payload, identity, config.busy_threshold, backend, stats)
+            }
             Err(e) => {
                 note_read_error(&e, stats);
-                let _ = tx.send(Work::Terminal(terminal_for(&e)));
-                return;
+                Err(terminal_for(&e))
             }
         };
-        stats.frames_in.fetch_add(1, Ordering::Relaxed);
-        match Request::parse(&payload) {
-            Ok(Request::Op { id, op }) => {
-                if tx.send(Work::Op { id, op }).is_err() {
-                    return;
-                }
+        let response = match response {
+            Ok(response) => response,
+            Err(terminal) => return send_terminal(writer, stats, terminal),
+        };
+        if let Err(e) = write_frame(writer, &response.encode()) {
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
+                stats.timeouts.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(Request::Ping { id }) => {
-                if tx.send(Work::Ping { id }).is_err() {
-                    return;
-                }
-            }
-            Ok(Request::HistoryRetained { id }) => {
-                if tx.send(Work::HistoryRetained { id }).is_err() {
-                    return;
-                }
-            }
-            Ok(Request::HistoryRead { id, seq, dov }) => {
-                if tx.send(Work::HistoryRead { id, seq, dov }).is_err() {
-                    return;
-                }
-            }
-            Ok(Request::HistoryImpact { id, seq, cv }) => {
-                if tx.send(Work::HistoryImpact { id, seq, cv }).is_err() {
-                    return;
-                }
-            }
-            Ok(Request::Bye) => {
-                let _ = tx.send(Work::Terminal(None));
-                return;
-            }
-            Ok(Request::Hello { .. }) => {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Work::Terminal(Some((
-                    "proto",
-                    "hello after the handshake".into(),
-                ))));
-                return;
-            }
-            Err(e) => {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Work::Terminal(Some(("proto", e.to_string()))));
-                return;
-            }
+            return;
         }
+        stats.frames_out.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn executor_loop<B: Backend>(
-    mut writer: TcpStream,
-    rx: Receiver<Work>,
-    identity: Identity,
-    backend: &B,
+/// Parses and executes one request: the reply to send, or the
+/// terminal condition that ends the session.
+fn answer<B: Backend>(
+    payload: &str,
+    identity: &Identity,
     busy_threshold: u64,
-    stats: &Arc<NetStats>,
-) {
-    while let Ok(work) = rx.recv() {
-        let response = match work {
-            Work::Ping { id } => Response::Pong { id },
-            Work::Op { id, op } => {
-                if !permits(identity.admin, identity.user, &identity.name, &op) {
-                    stats.identity_rejections.fetch_add(1, Ordering::Relaxed);
-                    Response::Fail {
-                        id,
-                        kind: "identity".into(),
-                        msg: format!(
-                            "session is bound to user {:?}; op embeds a different (or \
-                             administrative) identity",
-                            identity.name
-                        ),
-                    }
-                } else {
-                    let depth = backend.queue_depth();
-                    if depth >= busy_threshold {
-                        stats.busy.fetch_add(1, Ordering::Relaxed);
-                        Response::Busy { id, depth }
-                    } else {
-                        // The engine forbids panics by construction, but
-                        // the fault battery wants the *wire* guarantee:
-                        // a panicking backend yields a typed terminal
-                        // error, never a torn connection with no answer.
-                        match catch_unwind(AssertUnwindSafe(|| backend.execute(op))) {
-                            Ok(Ok((seq, event))) => {
-                                stats.ops_ok.fetch_add(1, Ordering::Relaxed);
-                                Response::Ok { id, seq, event }
-                            }
-                            Ok(Err(e)) => {
-                                stats.ops_failed.fetch_add(1, Ordering::Relaxed);
-                                Response::Fail {
-                                    id,
-                                    kind: e.kind().to_owned(),
-                                    msg: e.to_string(),
-                                }
-                            }
-                            Err(_) => {
-                                stats.panics.fetch_add(1, Ordering::Relaxed);
-                                send_terminal(
-                                    &mut writer,
-                                    stats,
-                                    Some(("internal", "op execution panicked".into())),
-                                );
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-            Work::HistoryRetained { id } => {
-                stats.history_queries.fetch_add(1, Ordering::Relaxed);
-                Response::Retained {
-                    id,
-                    seqs: backend.retained_seqs(),
-                }
-            }
-            Work::HistoryRead { id, seq, dov } => {
-                stats.history_queries.fetch_add(1, Ordering::Relaxed);
-                match backend.history_read(identity.user, seq, DovId::from_raw(dov)) {
-                    Ok(data) => Response::Data { id, data },
-                    Err(e) => Response::Fail {
-                        id,
-                        kind: e.kind().to_owned(),
-                        msg: e.to_string(),
-                    },
-                }
-            }
-            Work::HistoryImpact { id, seq, cv } => {
-                stats.history_queries.fetch_add(1, Ordering::Relaxed);
-                match backend.history_impact(seq, CellVersionId::from_raw(cv)) {
-                    Ok((stale, impacted)) => Response::Impact {
-                        id,
-                        stale: stale.iter().map(|d| d.raw()).collect(),
-                        impacted: impacted
-                            .iter()
-                            .map(|(dov, mirror)| crate::proto::Impacted {
-                                dov: dov.raw(),
-                                version: mirror.version,
-                                library: mirror.library.clone(),
-                                cell: mirror.cell.clone(),
-                                view: mirror.view.clone(),
-                            })
-                            .collect(),
-                    },
-                    Err(e) => Response::Fail {
-                        id,
-                        kind: e.kind().to_owned(),
-                        msg: e.to_string(),
-                    },
-                }
-            }
-            Work::Terminal(terminal) => {
-                send_terminal(&mut writer, stats, terminal);
-                return;
-            }
-        };
-        match write_frame(&mut writer, &response.encode()) {
-            Ok(()) => {
-                stats.frames_out.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
-                    stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = writer.shutdown(Shutdown::Both);
-                return;
+    backend: &B,
+    stats: &NetStats,
+) -> Result<Response, Terminal> {
+    let request = Request::parse(payload).map_err(|e| {
+        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        Some(("proto", e.to_string()))
+    })?;
+    Ok(match request {
+        Request::Ping { id } => Response::Pong { id },
+        Request::Op { id, op } => execute(id, op, identity, busy_threshold, backend, stats)?,
+        Request::HistoryRetained { id } => {
+            stats.history_queries.fetch_add(1, Ordering::Relaxed);
+            Response::Retained {
+                id,
+                seqs: backend.retained_seqs(),
             }
         }
+        Request::HistoryRead { id, seq, dov } => {
+            stats.history_queries.fetch_add(1, Ordering::Relaxed);
+            match backend.history_read(identity.user, seq, DovId::from_raw(dov)) {
+                Ok(data) => Response::Data { id, data },
+                Err(e) => Response::Fail {
+                    id,
+                    kind: e.kind().to_owned(),
+                    msg: e.to_string(),
+                },
+            }
+        }
+        Request::HistoryImpact { id, seq, cv } => {
+            stats.history_queries.fetch_add(1, Ordering::Relaxed);
+            match backend.history_impact(seq, CellVersionId::from_raw(cv)) {
+                Ok((stale, impacted)) => Response::Impact {
+                    id,
+                    stale: stale.iter().map(|d| d.raw()).collect(),
+                    impacted: impacted
+                        .iter()
+                        .map(|(dov, mirror)| crate::proto::Impacted {
+                            dov: dov.raw(),
+                            version: mirror.version,
+                            library: mirror.library.clone(),
+                            cell: mirror.cell.clone(),
+                            view: mirror.view.clone(),
+                        })
+                        .collect(),
+                },
+                Err(e) => Response::Fail {
+                    id,
+                    kind: e.kind().to_owned(),
+                    msg: e.to_string(),
+                },
+            }
+        }
+        Request::Bye => return Err(None),
+        Request::Hello { .. } => {
+            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(Some(("proto", "hello after the handshake".into())));
+        }
+    })
+}
+
+/// Runs one op through the identity check and the `busy` gate, then
+/// against the backend.
+fn execute<B: Backend>(
+    id: u64,
+    op: Op,
+    identity: &Identity,
+    busy_threshold: u64,
+    backend: &B,
+    stats: &NetStats,
+) -> Result<Response, Terminal> {
+    if !permits(identity.admin, identity.user, &identity.name, &op) {
+        stats.identity_rejections.fetch_add(1, Ordering::Relaxed);
+        return Ok(Response::Fail {
+            id,
+            kind: "identity".into(),
+            msg: format!(
+                "session is bound to user {:?}; op embeds a different (or \
+                 administrative) identity",
+                identity.name
+            ),
+        });
     }
-    let _ = writer.shutdown(Shutdown::Both);
+    let depth = backend.queue_depth();
+    if depth >= busy_threshold {
+        stats.busy.fetch_add(1, Ordering::Relaxed);
+        return Ok(Response::Busy { id, depth });
+    }
+    // The engine forbids panics by construction, but the fault
+    // battery wants the *wire* guarantee: a panicking backend yields a
+    // typed terminal error, never a torn connection with no answer.
+    match catch_unwind(AssertUnwindSafe(|| backend.execute(op))) {
+        Ok(Ok((seq, event))) => {
+            stats.ops_ok.fetch_add(1, Ordering::Relaxed);
+            Ok(Response::Ok { id, seq, event })
+        }
+        Ok(Err(e)) => {
+            stats.ops_failed.fetch_add(1, Ordering::Relaxed);
+            Ok(Response::Fail {
+                id,
+                kind: e.kind().to_owned(),
+                msg: e.to_string(),
+            })
+        }
+        Err(_) => {
+            stats.panics.fetch_add(1, Ordering::Relaxed);
+            Err(Some(("internal", "op execution panicked".into())))
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! net-server [--addr HOST:PORT] [--shards N] [--max-conns N]
-//!            [--window N] [--busy-threshold N]
+//!            [--busy-threshold N]
 //! ```
 //!
 //! With `--shards 0` (the default) a single-engine
@@ -14,6 +14,11 @@
 //! [`cad_net::Client`] as user `framework-admin` to administer the
 //! desktop (add users, projects, flows), then as any registered user
 //! to act as them.
+//!
+//! Each connection is served by one thread that answers its requests
+//! in order; a client may pipeline, and TCP flow control holds it
+//! back while the server works. Ops are answered `busy` without being
+//! executed once `--busy-threshold` ops wait for the write path.
 
 use std::process::ExitCode;
 
@@ -47,11 +52,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--max-conns needs a number".to_owned())?;
             }
-            "--window" => {
-                args.config.inflight_window = value("--window")?
-                    .parse()
-                    .map_err(|_| "--window needs a number".to_owned())?;
-            }
             "--busy-threshold" => {
                 args.config.busy_threshold = value("--busy-threshold")?
                     .parse()
@@ -60,7 +60,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: net-server [--addr HOST:PORT] [--shards N] [--max-conns N] \
-                     [--window N] [--busy-threshold N]"
+                     [--busy-threshold N]"
                 );
                 std::process::exit(0);
             }
@@ -104,10 +104,9 @@ fn main() -> ExitCode {
         format!("sharded x{}", args.shards)
     };
     println!(
-        "net-server: listening on {} ({backend}, max-conns {}, window {}, busy at {})",
+        "net-server: listening on {} ({backend}, max-conns {}, busy at {})",
         server.local_addr(),
         args.config.max_conns,
-        args.config.inflight_window,
         args.config.busy_threshold,
     );
     // Serve until killed; the acceptor thread owns the listener and

@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use jcf_fmcad::cad_net::{
-    read_frame, write_frame, Client, Response, Server, ServerConfig, WireError, MAX_FRAME,
+    read_frame, write_frame, Client, Request, Response, Server, ServerConfig, WireError, MAX_FRAME,
 };
 use jcf_fmcad::hybrid::{Engine, Op, Service};
 use test_support::SplitMix64;
@@ -298,6 +298,64 @@ fn an_op_with_a_malformed_embedded_line_is_a_protocol_error_not_a_crash() {
     assert_untouched(&service, &control, "malformed embedded ops");
     assert_eq!(server.stats().panics, 0);
     assert_still_serving(&server, "bad-op");
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_ops_before_a_malformed_frame_are_answered_in_order_then_one_err() {
+    let service = Service::new(Engine::builder().build());
+    let control = Service::new(Engine::builder().build());
+    let mut server = serve(service.clone());
+
+    const N: u64 = 16;
+    let ops: Vec<Op> = (0..N)
+        .map(|i| Op::CreateProject {
+            name: format!("piped-{i}"),
+        })
+        .collect();
+    for op in &ops {
+        control.submit(op.clone()).expect("control commit");
+    }
+
+    // Everything goes out before a single reply is read: N valid ops,
+    // then one well-framed payload that does not parse.
+    let mut stream = raw_connect(&server);
+    write_frame(
+        &mut stream,
+        "hello|version=1|user=6672616d65776f726b2d61646d696e",
+    )
+    .expect("hello");
+    let _ = read_frame(&mut stream, MAX_FRAME).expect("welcome");
+    for (i, op) in ops.iter().enumerate() {
+        let req = Request::Op {
+            id: i as u64 + 1,
+            op: op.clone(),
+        };
+        write_frame(&mut stream, &req.encode()).expect("pipelined op");
+    }
+    write_frame(&mut stream, "no|such=request").expect("garbage");
+
+    for want in 1..=N {
+        let payload = read_frame(&mut stream, MAX_FRAME).expect("in-order reply");
+        match Response::parse(&payload).expect("parseable reply") {
+            Response::Ok { id, .. } => assert_eq!(id, want, "replies must stay in order"),
+            other => panic!("reply {want}: expected ok, got {other:?}"),
+        }
+    }
+    let payload = read_frame(&mut stream, MAX_FRAME).expect("terminal err");
+    match Response::parse(&payload).expect("parseable err") {
+        Response::Err { code, .. } => assert_eq!(code, "proto"),
+        other => panic!("expected err|code=proto, got {other:?}"),
+    }
+    assert!(
+        matches!(read_frame(&mut stream, MAX_FRAME), Err(WireError::Closed)),
+        "the connection closes after the terminal err"
+    );
+
+    wait_for_drain(&server);
+    assert_untouched(&service, &control, "pipelined ops then garbage");
+    assert_eq!(server.stats().protocol_errors, 1);
+    assert_eq!(server.stats().panics, 0);
     server.shutdown();
 }
 

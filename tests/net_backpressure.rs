@@ -250,17 +250,13 @@ fn slow_readers_are_dropped_by_the_write_timeout() {
     server.shutdown();
 }
 
-/// A flooder pipelining far past the inflight window only slows
-/// *itself*: replies come back complete and in order, and concurrent
-/// healthy sessions see their own writes immediately.
+/// A flooder pipelining far past the one request the server reads
+/// ahead only slows *itself*: replies come back complete and in order,
+/// and concurrent healthy sessions see their own writes immediately.
 #[test]
 fn a_pipelining_flooder_is_window_bounded_and_healthy_sessions_read_their_writes() {
     let service = Service::new(Engine::builder().build());
-    let config = ServerConfig {
-        inflight_window: 4,
-        ..ServerConfig::default()
-    };
-    let mut server = Server::bind("127.0.0.1:0", config, service).expect("bind");
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default(), service).expect("bind");
 
     const FLOOD: u64 = 400;
     let flooder = {
@@ -269,7 +265,7 @@ fn a_pipelining_flooder_is_window_bounded_and_healthy_sessions_read_their_writes
             let mut client = Client::connect(addr, ADMIN).expect("connect");
             // Cheap failing ops (unknown project id): the server must
             // execute and answer every one, in order, despite the
-            // flood being far deeper than the window.
+            // flood being far deeper than the server reads ahead.
             let op = Op::CreateCell {
                 project: jcf_fmcad::jcf::ProjectId::from_raw(u64::MAX),
                 name: "flood".into(),
@@ -322,5 +318,50 @@ fn a_pipelining_flooder_is_window_bounded_and_healthy_sessions_read_their_writes
         "every flooded op got a typed answer"
     );
     assert_eq!(stats.ops_ok, 40, "healthy commits all landed");
+    server.shutdown();
+}
+
+/// The idle timeout bounds only the wait for the next request: a
+/// session whose own op is parked behind a busy engine for longer than
+/// the idle timeout gets its reply and keeps working.
+#[test]
+fn the_idle_timeout_does_not_fire_while_the_clients_op_is_executing() {
+    let service = Service::new(Engine::builder().build());
+    let config = ServerConfig {
+        idle_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
+    let mut server = Server::bind("127.0.0.1:0", config, service.clone()).expect("bind");
+    let mut client = connect(&server, ADMIN);
+
+    let (ready_tx, ready_rx) = mpsc::channel();
+    let parked = std::thread::spawn(move || {
+        service.with_engine(|_| {
+            ready_tx.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(600));
+        });
+    });
+    ready_rx.recv().unwrap();
+
+    // The op waits behind the parked engine for three idle timeouts.
+    let id = client
+        .send_op(&Op::CreateProject {
+            name: "parked".into(),
+        })
+        .expect("send while parked");
+    let reply = client
+        .recv_reply()
+        .expect("reply after the engine frees up");
+    parked.join().unwrap();
+    assert_eq!(reply.id, id);
+    assert!(matches!(reply.outcome, Outcome::Committed { .. }));
+
+    client
+        .submit_ok(&Op::CreateProject {
+            name: "after".into(),
+        })
+        .expect("the session outlives the parked op");
+    assert_eq!(server.stats().timeouts, 0);
+    assert_eq!(server.stats().panics, 0);
     server.shutdown();
 }
