@@ -112,6 +112,23 @@ impl Blob {
         }
     }
 
+    /// Appends `bytes` to the payload. The buffer grows in place when
+    /// this handle is its only owner; a buffer shared with clones is
+    /// copied first (copy-on-write, counted as a materialization), so
+    /// the clones keep their bytes. The cached hash is reset.
+    pub(crate) fn append(&mut self, bytes: &[u8]) {
+        if let Some(inner) = Arc::get_mut(&mut self.inner) {
+            inner.bytes.extend_from_slice(bytes);
+            inner.hash = OnceLock::new();
+            return;
+        }
+        count_materialization(self.len());
+        let mut grown = Vec::with_capacity(self.len() + bytes.len());
+        grown.extend_from_slice(self.as_slice());
+        grown.extend_from_slice(bytes);
+        *self = Blob::from(grown);
+    }
+
     /// This thread's count of payload deep copies so far (monotonic;
     /// snapshot before/after a scenario and subtract).
     pub fn materializations() -> u64 {

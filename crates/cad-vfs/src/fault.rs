@@ -45,8 +45,9 @@ use crate::rng::SplitMix64;
 /// Counters accumulated by an armed [`FaultPlan`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Content writes observed while armed (1-based; the Nth write is
-    /// the one `fail_write`/`torn_write` target).
+    /// Content writes (`write` and `append` alike) observed while armed
+    /// (1-based; the Nth write is the one `fail_write`/`torn_write`
+    /// target).
     pub writes_seen: u64,
     /// Content reads observed while armed.
     pub reads_seen: u64,

@@ -330,13 +330,7 @@ impl Vfs {
     /// prefix of the payload, exactly like a partially flushed write.
     pub fn write(&mut self, path: &VfsPath, content: impl Into<Blob>) -> VfsResult<()> {
         let content = content.into();
-        let verdict = self
-            .faults
-            .borrow_mut()
-            .as_mut()
-            .map(|plan| plan.on_write(path, content.len() as u64))
-            .unwrap_or(WriteVerdict::Persist);
-        match verdict {
+        match self.write_verdict(path, content.len()) {
             WriteVerdict::Persist => {
                 self.charge(|m, model| m.charge_write(model, content.len() as u64));
                 self.write_node(path, content)
@@ -351,6 +345,49 @@ impl Vfs {
             }
             WriteVerdict::Reject(kind) => Err(Self::write_fault_error(kind, path)),
         }
+    }
+
+    /// Appends `bytes` to the end of the file at `path`, creating it
+    /// when missing (`O_APPEND` semantics). The meter charges only the
+    /// appended bytes, so an append-only log pays O(Δ) per call rather
+    /// than a rewrite of everything already on disk.
+    ///
+    /// An armed [`FaultPlan`] counts an append as one content write: a
+    /// torn or quota fault keeps the old content and appends a strict
+    /// prefix of `bytes`; a rejected one leaves the file untouched.
+    /// Unlike [`Vfs::write`] plus [`Vfs::rename`], an append is not
+    /// atomic — a torn append leaves the fragment at the end of the
+    /// live file, which is why append-only logs must tolerate (and
+    /// eventually rewrite away) a torn tail.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VfsError::IsADirectory`] if `path` names a directory,
+    /// parent-resolution errors, and — while a [`FaultPlan`] is armed —
+    /// [`VfsError::InjectedWriteFault`] or [`VfsError::QuotaExceeded`].
+    pub fn append(&mut self, path: &VfsPath, bytes: &[u8]) -> VfsResult<()> {
+        match self.write_verdict(path, bytes.len()) {
+            WriteVerdict::Persist => {
+                self.charge(|m, model| m.charge_write(model, bytes.len() as u64));
+                self.append_node(path, bytes)
+            }
+            WriteVerdict::Torn { prefix, kind } => {
+                self.charge(|m, model| m.charge_write(model, prefix as u64));
+                let _ = self.append_node(path, &bytes[..prefix]);
+                Err(Self::write_fault_error(kind, path))
+            }
+            WriteVerdict::Reject(kind) => Err(Self::write_fault_error(kind, path)),
+        }
+    }
+
+    /// What the armed fault plan (if any) decides about one content
+    /// write of `len` bytes at `path`.
+    fn write_verdict(&self, path: &VfsPath, len: usize) -> WriteVerdict {
+        self.faults
+            .borrow_mut()
+            .as_mut()
+            .map(|plan| plan.on_write(path, len as u64))
+            .unwrap_or(WriteVerdict::Persist)
     }
 
     fn write_fault_error(kind: WriteFaultKind, path: &VfsPath) -> VfsError {
@@ -381,6 +418,30 @@ impl Vfs {
                 Ok(())
             }
             None => {
+                children.insert(name, Node::File { content, mtime });
+                Ok(())
+            }
+        }
+    }
+
+    /// The resolution + extension half of [`Vfs::append`].
+    fn append_node(&mut self, path: &VfsPath, bytes: &[u8]) -> VfsResult<()> {
+        let name = path
+            .file_name()
+            .ok_or_else(|| VfsError::IsADirectory(path.clone()))?
+            .to_owned();
+        let mtime = self.tick();
+        let parent = path.parent().expect("non-root path has a parent");
+        let children = self.lookup_dir_mut(&parent)?;
+        match children.get_mut(&name) {
+            Some(Node::Dir { .. }) => Err(VfsError::IsADirectory(path.clone())),
+            Some(Node::File { content, mtime: m }) => {
+                content.append(bytes);
+                *m = mtime;
+                Ok(())
+            }
+            None => {
+                let content = Blob::from(bytes.to_vec());
                 children.insert(name, Node::File { content, mtime });
                 Ok(())
             }

@@ -1,7 +1,7 @@
 //! Deterministic randomized suite (SplitMix64-driven) for the virtual
 //! file system: path round trips, write/read, copy and rename.
 
-use cad_vfs::{Blob, SplitMix64, Vfs, VfsPath};
+use cad_vfs::{Blob, FaultPlan, SplitMix64, Vfs, VfsError, VfsPath};
 
 fn random_path(rng: &mut SplitMix64) -> VfsPath {
     let mut path = VfsPath::root();
@@ -95,4 +95,174 @@ fn rename_preserves_bytes() {
         assert!(!fs.exists(&a));
         assert_eq!(fs.read(&b).unwrap(), content);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Append: O_APPEND semantics, metering and fault adjudication
+// ---------------------------------------------------------------------------
+
+fn chunk(rng: &mut SplitMix64) -> Vec<u8> {
+    let len = 1 + rng.below(200);
+    rng.bytes(len)
+}
+
+#[test]
+fn append_creates_missing_files_and_charges_only_the_appended_bytes() {
+    let mut rng = SplitMix64::new(4);
+    let mut fs = Vfs::new();
+    fs.mkdir_all(&VfsPath::parse("/logs").unwrap()).unwrap();
+    for case in 0..20 {
+        let path = VfsPath::parse(&format!("/logs/f{case}")).unwrap();
+        let mut expected = Vec::new();
+        for n in 0..1 + rng.below(6) {
+            let bytes = chunk(&mut rng);
+            let existed = fs.exists(&path);
+            assert_eq!(existed, n > 0, "only the first append creates the file");
+            let before = fs.meter();
+            fs.append(&path, &bytes).unwrap();
+            let delta = fs.meter().since(&before);
+            assert_eq!(delta.bytes_written, bytes.len() as u64, "case {case}");
+            assert_eq!(delta.content_ops, 1, "one append is one content op");
+            expected.extend_from_slice(&bytes);
+        }
+        assert_eq!(fs.read(&path).unwrap(), expected, "case {case}");
+    }
+}
+
+#[test]
+fn append_leaves_earlier_read_handles_untouched() {
+    let mut rng = SplitMix64::new(5);
+    let mut fs = Vfs::new();
+    let path = VfsPath::parse("/f").unwrap();
+    let first = chunk(&mut rng);
+    fs.write(&path, first.clone()).unwrap();
+    let handle = fs.read(&path).unwrap();
+    let second = chunk(&mut rng);
+    fs.append(&path, &second).unwrap();
+    assert_eq!(handle, first, "a shared buffer is copied, not grown");
+    let mut both = first;
+    both.extend_from_slice(&second);
+    assert_eq!(fs.read(&path).unwrap(), both);
+}
+
+#[test]
+fn torn_append_keeps_the_old_content_plus_a_strict_prefix() {
+    let mut rng = SplitMix64::new(6);
+    for seed in 0..32 {
+        let mut fs = Vfs::new();
+        let path = VfsPath::parse("/log").unwrap();
+        let old = chunk(&mut rng);
+        let new = chunk(&mut rng);
+        fs.write(&path, old.clone()).unwrap();
+        fs.arm_faults(FaultPlan::new(seed).torn_write(1));
+        let before = fs.meter();
+        assert!(matches!(
+            fs.append(&path, &new),
+            Err(VfsError::InjectedWriteFault(_))
+        ));
+        let after = fs.read(&path).unwrap();
+        assert!(after.starts_with(&old), "seed {seed}: old content intact");
+        let prefix = &after[old.len()..];
+        assert!(prefix.len() < new.len(), "seed {seed}: the tear is strict");
+        assert_eq!(prefix, &new[..prefix.len()], "seed {seed}");
+        assert_eq!(fs.meter().since(&before).bytes_written, prefix.len() as u64);
+        let stats = fs.disarm_faults().unwrap().stats();
+        assert_eq!((stats.writes_seen, stats.faults_fired), (1, 1));
+        assert_eq!(stats.bytes_admitted, prefix.len() as u64);
+    }
+}
+
+#[test]
+fn quota_fault_tears_an_append_at_the_quota() {
+    let mut rng = SplitMix64::new(7);
+    for _ in 0..32 {
+        let mut fs = Vfs::new();
+        let path = VfsPath::parse("/log").unwrap();
+        let old = chunk(&mut rng);
+        let first = chunk(&mut rng);
+        let second = chunk(&mut rng);
+        fs.write(&path, old.clone()).unwrap();
+        // The quota admits `first` whole and `quota - first` bytes of
+        // `second`.
+        let spare = rng.below(second.len());
+        let quota = (first.len() + spare) as u64;
+        fs.arm_faults(FaultPlan::new(1).quota(quota));
+        fs.append(&path, &first).unwrap();
+        assert!(matches!(
+            fs.append(&path, &second),
+            Err(VfsError::QuotaExceeded(_))
+        ));
+        let mut expected = old;
+        expected.extend_from_slice(&first);
+        expected.extend_from_slice(&second[..spare]);
+        assert_eq!(fs.read(&path).unwrap(), expected);
+        assert_eq!(fs.fault_stats().unwrap().bytes_admitted, quota);
+    }
+}
+
+#[test]
+fn rejected_append_leaves_the_file_unchanged() {
+    let mut rng = SplitMix64::new(8);
+    let mut fs = Vfs::new();
+    let path = VfsPath::parse("/log").unwrap();
+    let old = chunk(&mut rng);
+    fs.write(&path, old.clone()).unwrap();
+    let mtime = fs.metadata(&path).unwrap().mtime;
+    fs.arm_faults(FaultPlan::new(8).fail_write(1));
+    assert!(matches!(
+        fs.append(&path, &chunk(&mut rng)),
+        Err(VfsError::InjectedWriteFault(_))
+    ));
+    assert_eq!(fs.read(&path).unwrap(), old);
+    assert_eq!(fs.metadata(&path).unwrap().mtime, mtime);
+    // A rejected append to a missing file creates nothing.
+    let fresh = VfsPath::parse("/fresh").unwrap();
+    fs.arm_faults(FaultPlan::new(8).fail_write(1));
+    assert!(fs.append(&fresh, b"x").is_err());
+    assert!(!fs.exists(&fresh));
+}
+
+#[test]
+fn append_to_a_directory_or_under_a_missing_parent_is_a_typed_error() {
+    let mut fs = Vfs::new();
+    let dir = VfsPath::parse("/d").unwrap();
+    fs.mkdir(&dir).unwrap();
+    assert!(matches!(
+        fs.append(&dir, b"x"),
+        Err(VfsError::IsADirectory(_))
+    ));
+    assert!(matches!(
+        fs.append(&VfsPath::parse("/missing/f").unwrap(), b"x"),
+        Err(VfsError::NotFound(_))
+    ));
+    fs.write(&VfsPath::parse("/file").unwrap(), b"x".to_vec())
+        .unwrap();
+    assert!(matches!(
+        fs.append(&VfsPath::parse("/file/f").unwrap(), b"x"),
+        Err(VfsError::NotADirectory(_))
+    ));
+}
+
+#[test]
+fn appends_outside_the_fault_scope_are_not_counted() {
+    let mut rng = SplitMix64::new(9);
+    let mut fs = Vfs::new();
+    let scoped = VfsPath::parse("/scoped").unwrap();
+    let other = VfsPath::parse("/other").unwrap();
+    fs.mkdir(&scoped).unwrap();
+    fs.mkdir(&other).unwrap();
+    let outside = other.join("log").unwrap();
+    let inside = scoped.join("log").unwrap();
+    fs.arm_faults(FaultPlan::new(9).torn_write(1).scope(&scoped));
+    let mut expected = Vec::new();
+    for _ in 0..5 {
+        let bytes = chunk(&mut rng);
+        fs.append(&outside, &bytes).unwrap();
+        expected.extend_from_slice(&bytes);
+    }
+    assert_eq!(fs.read(&outside).unwrap(), expected);
+    assert_eq!(fs.fault_stats().unwrap().writes_seen, 0);
+    assert!(fs.append(&inside, &chunk(&mut rng)).is_err());
+    let stats = fs.fault_stats().unwrap();
+    assert_eq!((stats.writes_seen, stats.faults_fired), (1, 1));
 }

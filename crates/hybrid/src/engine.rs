@@ -1784,9 +1784,9 @@ struct DurableState {
     prev_files: BTreeMap<String, u64>,
     /// Mirror of the on-disk `ck.manifest`.
     manifest: Manifest,
-    /// Highest sequence number persisted into a *sealed* segment;
-    /// journal entries past this point live only in the open segment
-    /// (or nowhere, if not yet synced).
+    /// Highest sequence number persisted into a *sealed* segment or
+    /// covered by a delta checkpoint; journal entries past this point
+    /// live only in the open segment (or nowhere, if not yet synced).
     closed_upto: u64,
     /// Next delta checkpoint id (monotonic, never reused).
     next_delta: u64,
@@ -2087,8 +2087,31 @@ impl Engine {
     ///
     /// Returns image encoding and backup file system errors.
     pub fn checkpoint(&mut self, backup: &mut Vfs, dir: &VfsPath) -> HybridResult<()> {
+        self.checkpoint_chain(backup, dir, true)
+    }
+
+    /// [`Engine::checkpoint`] for an engine whose ops are journaled
+    /// elsewhere — a shard engine, whose ops the router's envelope
+    /// logs hold: a delta checkpoint writes the images and the
+    /// manifest but seals no op segment, so the chain holds only
+    /// base, delta and manifest files. Its delta boundaries stay
+    /// [`Engine::recover_at`] targets; the seqs between them do not.
+    pub(crate) fn checkpoint_images(
+        &mut self,
+        backup: &mut Vfs,
+        dir: &VfsPath,
+    ) -> HybridResult<()> {
+        self.checkpoint_chain(backup, dir, false)
+    }
+
+    fn checkpoint_chain(
+        &mut self,
+        backup: &mut Vfs,
+        dir: &VfsPath,
+        seal: bool,
+    ) -> HybridResult<()> {
         match &self.durable {
-            Some(d) if d.dir == *dir => self.checkpoint_delta(backup, dir),
+            Some(d) if d.dir == *dir => self.checkpoint_delta(backup, dir, seal),
             _ => self.checkpoint_full(backup, dir),
         }
     }
@@ -2147,11 +2170,17 @@ impl Engine {
     }
 
     /// Writes a delta checkpoint against the chain head: the pending
-    /// journal tail is sealed into a final (retired) segment, the OMS
-    /// and file-system diffs plus the full coupling meta go into one
-    /// `delta-<k>.ck` file, and the rewritten manifest commits it all.
-    /// Work and bytes are proportional to the delta, not the database.
-    fn checkpoint_delta(&mut self, backup: &mut Vfs, dir: &VfsPath) -> HybridResult<()> {
+    /// journal tail is sealed into a final (retired) segment (when
+    /// `seal`), the OMS and file-system diffs plus the full coupling
+    /// meta go into one `delta-<k>.ck` file, and the rewritten
+    /// manifest commits it all. Work and bytes are proportional to the
+    /// delta, not the database.
+    fn checkpoint_delta(
+        &mut self,
+        backup: &mut Vfs,
+        dir: &VfsPath,
+        seal: bool,
+    ) -> HybridResult<()> {
         self.invalidate_snap_cache();
         let d = self
             .durable
@@ -2175,7 +2204,7 @@ impl Engine {
         let mut files = Vec::with_capacity(3);
         let mut segs = d.manifest.segs.clone();
         let mut open_id = d.manifest.open.0;
-        if self.seq > d.closed_upto {
+        if seal && self.seq > d.closed_upto {
             let skip = (d.closed_upto - head) as usize;
             let mut entries = vec![seg_header(open_id, d.closed_upto + 1)];
             entries.extend(self.journal[skip..].iter().map(Op::to_line));
@@ -2539,14 +2568,46 @@ impl Engine {
     ///
     /// Returns backup file system errors.
     pub fn compact(&mut self, backup: &mut Vfs, dir: &VfsPath) -> HybridResult<usize> {
+        self.compact_chain(backup, dir, true)
+    }
+
+    /// [`Engine::compact`] for a chain written by
+    /// [`Engine::checkpoint_images`]: the journal tail is not synced
+    /// (the router's envelope logs hold it). The manifest is committed
+    /// whenever it differs from the one on disk — after a recovery
+    /// short of the chain's newest delta the on-disk manifest still
+    /// names the abandoned deltas this compact deletes.
+    pub(crate) fn compact_images(
+        &mut self,
+        backup: &mut Vfs,
+        dir: &VfsPath,
+    ) -> HybridResult<usize> {
+        self.compact_chain(backup, dir, false)
+    }
+
+    fn compact_chain(
+        &mut self,
+        backup: &mut Vfs,
+        dir: &VfsPath,
+        sync_tail: bool,
+    ) -> HybridResult<usize> {
         if self.durable.as_ref().filter(|d| d.dir == *dir).is_none() {
             return Ok(0);
         }
-        self.sync_journal(backup, dir)?;
+        if sync_tail {
+            self.sync_journal(backup, dir)?;
+        }
         let d = self.durable.as_ref().expect("chain checked above");
         let mut manifest = d.manifest.clone();
         manifest.segs.retain(|s| !s.retired);
-        if manifest != d.manifest {
+        // A sync just committed `d.manifest`; without one, compare
+        // against the manifest on disk.
+        let committed = if sync_tail {
+            manifest == d.manifest
+        } else {
+            Self::load_manifest(backup, dir).is_ok_and(|on_disk| on_disk == manifest)
+        };
+        if !committed {
             Self::group_commit(backup, dir, &[(CK_MANIFEST.to_owned(), manifest.render())])?;
         }
         let mut keep: std::collections::BTreeSet<String> = [

@@ -62,11 +62,16 @@
 //! # Persistence
 //!
 //! Epochs: `root/CURRENT` is a one-line pointer at the live epoch
-//! directory `ck-<k>`, which holds one engine checkpoint per shard
-//! (`shard-<i>/`), the router image (`router.meta`) and the envelope
-//! journals (`shard-<i>.log`). [`ShardedService::checkpoint`] stages a
-//! new epoch and flips `CURRENT` atomically; [`ShardedService::sync`]
-//! rewrites the journals (whole-file atomic, ascending shard order);
+//! directory `ck-<k>`, which holds the epoch metadata (`epoch.meta`:
+//! each shard engine's chain boundary), the router image
+//! (`router.meta`) and the envelope journals (`shard-<i>.log`). Each
+//! shard's engine checkpoint chain lives beside the epochs at
+//! `root/shard-<i>/` and holds only images: the envelope journals are
+//! the one op log. [`ShardedService::checkpoint`] adds one delta per
+//! chain, stages a new epoch and flips `CURRENT` atomically;
+//! [`ShardedService::sync`] appends each shard's new records to its
+//! journal (ascending shard order), rewriting a journal whole only
+//! when it is not known to be intact;
 //! [`ShardedService::recover`] merges the journals by commit sequence
 //! and replays them through the same plan executor as live commits,
 //! with the recorded sequence forced. The executor varies only in how
@@ -331,6 +336,12 @@ struct ShardRouter {
     equiv_edges: Vec<(u64, u64)>,
     /// Per-shard envelope journals since the last checkpoint.
     logs: Vec<Vec<EnvelopeRecord>>,
+    /// Per shard: how many records of `logs[i]` the live epoch's
+    /// `shard-<i>.log` already holds, so a sync appends only the rest.
+    /// `None` — the first sync of an epoch, after a failed write to
+    /// that log, or on a recovered service — means the file is not
+    /// known to match, and the next sync rewrites it whole.
+    synced: Vec<Option<usize>>,
     /// Broadcast ops committed.
     broadcasts: u64,
     /// Cross-partition two-phase commits.
@@ -351,6 +362,7 @@ impl ShardRouter {
             comp_edges: Vec::new(),
             equiv_edges: Vec::new(),
             logs: vec![Vec::new(); nshards],
+            synced: vec![None; nshards],
             broadcasts: 0,
             cross_commits: 0,
         }
@@ -1759,8 +1771,11 @@ impl ShardedService {
     /// epoch writes the base images), the epoch metadata and router
     /// image into `ck-<k>/`, and the `CURRENT` pointer flip that
     /// commits it all — then truncates the in-memory envelope
-    /// journals. Earlier epoch directories are retained for
-    /// [`ShardedService::recover_at`] until
+    /// journals. The deltas carry images only: a shard engine's ops
+    /// are already in the envelope journals, and recovery only ever
+    /// targets the chain boundaries `epoch.meta` records, so no op
+    /// segment is sealed into the chains. Earlier epoch directories
+    /// are retained for [`ShardedService::recover_at`] until
     /// [`ShardedService::compact`] removes them.
     ///
     /// Locks every engine (ascending) and the router for the duration,
@@ -1778,7 +1793,7 @@ impl ShardedService {
         // an unreferenced fork until a retry commits past it.
         let mut epoch_lines = vec![format!("seq|next={}", router.next_seq)];
         for (i, engine) in guards.iter_mut().enumerate() {
-            engine.checkpoint(fs, &shard_chain_dir(root, i)?)?;
+            engine.checkpoint_images(fs, &shard_chain_dir(root, i)?)?;
             epoch_lines.push(format!("engseq|shard={i}|seq={}", engine.seq()));
         }
         oms::persist::save_journal(fs, &dir.join(EPOCH_META)?, &epoch_lines).map_err(map_oms)?;
@@ -1792,15 +1807,20 @@ impl ShardedService {
         for log in &mut router.logs {
             log.clear();
         }
+        router.synced.fill(None);
         Ok(())
     }
 
     /// Drops persistence no longer needed to restore the **newest**
     /// epoch: every epoch directory other than the current one
     /// (including stale `ck-*` beyond the pointer, left by crashed
-    /// checkpoints) and the retired journal segments of each shard's
-    /// engine chain. Point-in-time recovery to the removed epochs is
-    /// given up; the current epoch is unaffected.
+    /// checkpoints) and every file of each shard's engine chain that
+    /// its manifest no longer names (deltas of abandoned forks, staging
+    /// debris, and the op segments chains written by older versions
+    /// still hold). Nothing is synced: afterwards a chain holds only
+    /// its base, delta and manifest files. Point-in-time recovery to
+    /// the removed epochs is given up; the current epoch is
+    /// unaffected.
     ///
     /// Returns the number of files and directories removed.
     pub fn compact(&self, fs: &mut Vfs, root: &VfsPath) -> HybridResult<usize> {
@@ -1820,26 +1840,48 @@ impl ShardedService {
             }
         }
         for (i, engine) in guards.iter_mut().enumerate() {
-            removed += engine.compact(fs, &shard_chain_dir(root, i)?)?;
+            removed += engine.compact_images(fs, &shard_chain_dir(root, i)?)?;
         }
         Ok(removed)
     }
 
-    /// Rewrites the per-shard envelope journals under the live epoch
-    /// (whole-file atomic, ascending shard order). Requires a prior
+    /// Makes the per-shard envelope journals under the live epoch
+    /// durable, in ascending shard order, doing O(Δ) work: each shard
+    /// appends only the records added since its previous successful
+    /// sync to `ck-<E>/shard-<i>.log`, and a shard with no new records
+    /// writes nothing.
+    ///
+    /// A shard's log is instead rewritten whole and atomically on the
+    /// first sync of an epoch, on the first sync after a failed write
+    /// to that log, and on the first sync of a service built by
+    /// [`recover`](ShardedService::recover) or
+    /// [`recover_at`](ShardedService::recover_at). So a torn append is
+    /// never followed by more records, and a recovered service drops
+    /// its torn tail, rolled-back prepares and any records past its
+    /// fork point. Requires a prior
     /// [`checkpoint`](ShardedService::checkpoint) to anchor the epoch.
     pub fn sync(&self, fs: &mut Vfs, root: &VfsPath) -> HybridResult<()> {
-        let router = lock(&self.inner.router);
+        let mut router = lock(&self.inner.router);
         if router.epoch == 0 {
             return Err(HybridError::Journal(
                 "sync before first checkpoint: no epoch to anchor the journals to".into(),
             ));
         }
         let dir = root.join(&format!("ck-{}", router.epoch))?;
-        for (i, log) in router.logs.iter().enumerate() {
-            let lines: Vec<String> = log.iter().map(EnvelopeRecord::to_line).collect();
-            oms::persist::save_journal(fs, &dir.join(&format!("shard-{i}.log"))?, &lines)
-                .map_err(map_oms)?;
+        let ShardRouter { logs, synced, .. } = &mut *router;
+        for (i, (log, on_disk)) in logs.iter().zip(synced.iter_mut()).enumerate() {
+            if *on_disk == Some(log.len()) {
+                continue;
+            }
+            let path = dir.join(&format!("shard-{i}.log"))?;
+            let from = on_disk.unwrap_or(0);
+            let lines: Vec<String> = log[from..].iter().map(EnvelopeRecord::to_line).collect();
+            let written = match on_disk {
+                Some(_) => oms::persist::append_journal(fs, &path, &lines),
+                None => oms::persist::save_journal(fs, &path, &lines),
+            };
+            *on_disk = written.is_ok().then_some(log.len());
+            written.map_err(map_oms)?;
         }
         Ok(())
     }

@@ -631,17 +631,25 @@ pub const JOURNAL_MAGIC: &str = "oms-journal v1";
 pub fn render_journal(entries: &[String]) -> OmsResult<String> {
     let mut out = String::from(JOURNAL_MAGIC);
     out.push('\n');
+    push_entries(&mut out, entries, 2)?;
+    Ok(out)
+}
+
+/// Frames `entries` onto `out`, one newline-terminated line each; an
+/// error names the entry's line, counting the first entry as
+/// `first_line`.
+fn push_entries(out: &mut String, entries: &[String], first_line: usize) -> OmsResult<()> {
     for (n, entry) in entries.iter().enumerate() {
         if entry.contains('\n') {
             return Err(OmsError::CorruptImage {
-                line: n + 2,
+                line: first_line + n,
                 reason: "journal entry contains a newline".to_owned(),
             });
         }
         out.push_str(entry);
         out.push('\n');
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Writes an operations journal to `path`, atomically (staged at a
@@ -659,7 +667,30 @@ pub fn save_journal(fs: &mut Vfs, path: &VfsPath, entries: &[String]) -> OmsResu
     atomic_write(fs, path, out.into_bytes())
 }
 
-/// Reads an operations journal written by [`save_journal`].
+/// Appends `entries` to the journal at `path` in one
+/// [`Vfs::append`], framed exactly like [`save_journal`] frames them,
+/// so the file reads back as one journal. The file must already hold
+/// a journal (its header written by [`save_journal`]).
+///
+/// The append is **not** atomic: a crash can leave a torn final line,
+/// which [`load_journal_lenient`] splits off and [`load_journal`]
+/// rejects. A caller that saw this fail must rewrite the journal with
+/// [`save_journal`] before appending to it again, so a torn fragment
+/// is never followed by more entries.
+///
+/// # Errors
+///
+/// Propagates file system errors as typed [`OmsError::Vfs`] values, and
+/// rejects entries containing newlines before anything is written
+/// (the error's line counts from the first appended entry).
+pub fn append_journal(fs: &mut Vfs, path: &VfsPath, entries: &[String]) -> OmsResult<()> {
+    let mut out = String::new();
+    push_entries(&mut out, entries, 1)?;
+    Ok(fs.append(path, out.as_bytes())?)
+}
+
+/// Reads an operations journal written by [`save_journal`] (and
+/// extended by [`append_journal`]).
 ///
 /// # Errors
 ///
@@ -1001,6 +1032,58 @@ mod tests {
             load_journal(&fs, &path),
             Err(OmsError::CorruptImage { line: 1, .. })
         ));
+    }
+
+    #[test]
+    fn appended_entries_read_back_as_one_journal() {
+        let mut fs = Vfs::new();
+        let path = VfsPath::parse("/journal.log").unwrap();
+        let first = vec!["op|a=1".to_owned()];
+        let more = vec!["op|b=2".to_owned(), "op|c=3".to_owned()];
+        save_journal(&mut fs, &path, &first).unwrap();
+        append_journal(&mut fs, &path, &more).unwrap();
+        let all: Vec<String> = first.iter().chain(&more).cloned().collect();
+        assert_eq!(load_journal(&fs, &path).unwrap(), all);
+        assert_eq!(
+            fs.read(&path).unwrap(),
+            render_journal(&all).unwrap().into_bytes(),
+            "appending frames byte-for-byte like one save"
+        );
+        // A newline is rejected before anything reaches the file.
+        let before = fs.read(&path).unwrap();
+        let err =
+            append_journal(&mut fs, &path, &["ok".to_owned(), "a\nb".to_owned()]).unwrap_err();
+        assert!(matches!(err, OmsError::CorruptImage { line: 2, .. }));
+        assert_eq!(fs.read(&path).unwrap(), before);
+    }
+
+    #[test]
+    fn a_torn_append_is_split_off_leniently_and_rejected_strictly() {
+        use cad_vfs::FaultPlan;
+        let first = vec!["op|a=1".to_owned()];
+        let more = vec!["op|b=22222".to_owned()];
+        let mut fragments = 0;
+        for seed in 0..8 {
+            let mut fs = Vfs::new();
+            let path = VfsPath::parse("/journal.log").unwrap();
+            save_journal(&mut fs, &path, &first).unwrap();
+            let committed = fs.read(&path).unwrap();
+            fs.arm_faults(FaultPlan::new(seed).torn_write(1));
+            assert!(append_journal(&mut fs, &path, &more).is_err());
+            fs.disarm_faults();
+            let (complete, torn) = load_journal_lenient(&fs, &path).unwrap();
+            assert_eq!(complete, first, "seed {seed}");
+            if let Some(tail) = torn {
+                fragments += 1;
+                assert_eq!(tail.offset, committed.len());
+                assert!(more[0].starts_with(&tail.fragment));
+                assert!(load_journal(&fs, &path).is_err());
+            }
+            // The repair: a whole rewrite drops any fragment.
+            save_journal(&mut fs, &path, &first).unwrap();
+            assert_eq!(load_journal(&fs, &path).unwrap(), first);
+        }
+        assert!(fragments > 0, "some seed must tear inside the entry");
     }
 
     #[test]

@@ -785,9 +785,11 @@ fn crash_inside_a_later_checkpoint_leaves_the_previous_epoch_live() {
     w.service.sync(&mut backup, &root).unwrap();
     let live = w.service.state_fingerprint().unwrap();
 
-    // Each shard's engine checkpoint stages 4 files; tear write 6 —
-    // inside the second shard's staging, after the first completed.
-    backup.arm_faults(FaultPlan::new(0x2BC0_0002).torn_write(6).scope(&root));
+    // Only partition b's shard changed since the epoch, so only its
+    // chain stages a delta checkpoint (delta, manifest); epoch.meta and
+    // router.meta follow. Tear write 5 — the `CURRENT` flip, after
+    // every chain delta and epoch file staged.
+    backup.arm_faults(FaultPlan::new(0x2BC0_0002).torn_write(5).scope(&root));
     let err = w.service.checkpoint(&mut backup, &root).unwrap_err();
     assert!(
         err.to_string().contains("injected write fault"),
@@ -812,4 +814,168 @@ fn crash_inside_a_later_checkpoint_leaves_the_previous_epoch_live() {
         "the cross comp-of and the tail cell replay"
     );
     assert_eq!(recovered.state_fingerprint().unwrap(), live);
+}
+
+/// Path of shard `i`'s envelope journal in epoch 1.
+fn epoch1_log(root: &VfsPath, i: usize) -> VfsPath {
+    root.join("ck-1")
+        .unwrap()
+        .join(&format!("shard-{i}.log"))
+        .unwrap()
+}
+
+/// Every shard's envelope journal in epoch 1 parses *strictly*: no
+/// torn tail anywhere.
+fn assert_logs_parse_strictly(backup: &Vfs, root: &VfsPath) {
+    for i in 0..SHARDS {
+        let log = epoch1_log(root, i);
+        if backup.exists(&log) {
+            oms::persist::load_journal(backup, &log)
+                .unwrap_or_else(|e| panic!("shard-{i}.log must parse strictly: {e}"));
+        }
+    }
+}
+
+/// The second sync of an epoch *appends*: a crash that tears
+/// participant b's append leaves a torn tail in the live log (not in
+/// a staging file). Recovery drops the fragment and rolls the cross
+/// commit back; the live service's next sync rewrites b's log whole,
+/// so the fragment is never followed by appended records.
+#[test]
+fn a_torn_append_to_one_participant_heals_on_the_next_sync() {
+    let root = VfsPath::parse(SHARD_DIR).unwrap();
+    let w = cross_world();
+    let (sa, _) = w.service.resolve_shard(w.cv_a.raw()).unwrap();
+    let (sb, _) = w.service.resolve_shard(w.project_b.raw()).unwrap();
+
+    let mut backup = Vfs::new();
+    w.service.checkpoint(&mut backup, &root).unwrap();
+    // The epoch's first sync rewrites every log whole.
+    w.alice.create_cell(w.project_b, "leaf2").unwrap();
+    w.service.sync(&mut backup, &root).unwrap();
+
+    // The second sync appends the 2PC records to a's log, then b's
+    // (one content write each, ascending shard order); tear b's.
+    let cross_seq = w.alice.declare_comp_of(w.cv_a, w.cell_b).unwrap();
+    backup.arm_faults(FaultPlan::new(0x2BC0_0003).torn_write(2).scope(&root));
+    let err = w.service.sync(&mut backup, &root).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains(&format!("injected write fault: {}", epoch1_log(&root, sb))),
+        "expected the injected fault on b's log, got {err:?}"
+    );
+    let stats = backup.disarm_faults().unwrap().stats();
+    assert_eq!((stats.writes_seen, stats.faults_fired), (2, 1));
+
+    let (recovered, report) = ShardedService::recover(&mut backup, &root).unwrap();
+    assert_eq!(
+        report.torn_segment.as_deref(),
+        Some(format!("ck-1/shard-{sb}.log").as_str())
+    );
+    assert!(report.torn_offset.is_some(), "the tear has an offset");
+    assert!(report.dropped_fragment.is_some());
+    assert_eq!(report.rolled_back_prepares, vec![cross_seq]);
+    assert!(recovered.view().router().cross_comp_edges().is_empty());
+
+    // The heal: b's log is rewritten whole (a's is already intact and
+    // is not written at all), so the strict loader accepts it.
+    backup.arm_faults(FaultPlan::new(0).scope(&root));
+    w.service.sync(&mut backup, &root).unwrap();
+    let stats = backup.disarm_faults().unwrap().stats();
+    assert_eq!(stats.writes_seen, 1, "only b's log is written");
+    assert_logs_parse_strictly(&backup, &root);
+    assert!(backup.exists(&epoch1_log(&root, sa)));
+
+    let (healed, report) = ShardedService::recover(&mut backup, &root).unwrap();
+    assert_eq!(report.torn_segment, None);
+    assert_eq!(report.rolled_back_prepares, Vec::<u64>::new());
+    assert_eq!(healed.view().router().cross_comp_edges().len(), 1);
+    assert_eq!(
+        healed.state_fingerprint().unwrap(),
+        w.service.state_fingerprint().unwrap()
+    );
+}
+
+/// A backup whose epoch-1 logs hold a torn tail on participant b and
+/// a prepare whose commit record b never got, plus the seq of that
+/// orphaned prepare and of the last commit before it.
+fn damaged_backup(w: &CrossWorld, root: &VfsPath) -> (Vfs, u64, u64) {
+    let mut backup = Vfs::new();
+    w.service.checkpoint(&mut backup, root).unwrap();
+    w.alice.create_cell(w.project_b, "leaf2").unwrap();
+    let before_cross = w.service.stats().seq - 1;
+    let cross_seq = w.alice.declare_comp_of(w.cv_a, w.cell_b).unwrap();
+    w.alice.create_cell(w.project_b, "leaf3").unwrap();
+    w.service.sync(&mut backup, root).unwrap();
+
+    let (sb, _) = w.service.resolve_shard(w.project_b.raw()).unwrap();
+    let log = epoch1_log(root, sb);
+    let text = String::from_utf8(backup.read(&log).unwrap().to_vec()).unwrap();
+    let kept: Vec<&str> = text.lines().filter(|l| !l.starts_with("cmit|")).collect();
+    assert!(
+        kept.len() < text.lines().count(),
+        "b held the commit record"
+    );
+    backup
+        .write(&log, format!("{}\nop|seq=9", kept.join("\n")).into_bytes())
+        .unwrap();
+    (backup, cross_seq, before_cross)
+}
+
+/// Commits two more ops on `service` (one per participant partition),
+/// syncs, and requires a fresh recovery to land on `service`'s state
+/// with every log parsing strictly — which fails if the first sync
+/// after a recovery appended behind the torn tail or the abandoned
+/// records instead of rewriting the logs.
+fn commit_sync_and_recover_again(
+    w: &CrossWorld,
+    service: &ShardedService,
+    root: &VfsPath,
+    backup: &mut Vfs,
+) {
+    let session = service.open_session(w.alice.user());
+    session.create_cell(w.project_b, "after-recovery").unwrap();
+    session
+        .apply_seq(Op::DeclareCompOf {
+            user: w.alice.user(),
+            cv: w.cv_a,
+            child: w.cell_b,
+        })
+        .unwrap();
+    service.sync(backup, root).unwrap();
+    assert_logs_parse_strictly(backup, root);
+    let (again, report) = ShardedService::recover(backup, root).unwrap();
+    assert_eq!(report.torn_segment, None);
+    assert_eq!(report.rolled_back_prepares, Vec::<u64>::new());
+    assert_eq!(
+        again.state_fingerprint().unwrap(),
+        service.state_fingerprint().unwrap()
+    );
+}
+
+#[test]
+fn the_first_sync_after_recovery_rewrites_the_logs() {
+    let root = VfsPath::parse(SHARD_DIR).unwrap();
+    let w = cross_world();
+    let (mut backup, cross_seq, _) = damaged_backup(&w, &root);
+
+    let (recovered, report) = ShardedService::recover(&mut backup, &root).unwrap();
+    assert!(report.torn_segment.is_some(), "the backup has a torn tail");
+    assert_eq!(report.rolled_back_prepares, vec![cross_seq]);
+    commit_sync_and_recover_again(&w, &recovered, &root, &mut backup);
+}
+
+#[test]
+fn the_first_sync_after_a_point_in_time_fork_rewrites_the_logs() {
+    let root = VfsPath::parse(SHARD_DIR).unwrap();
+    let w = cross_world();
+    let (mut backup, cross_seq, before_cross) = damaged_backup(&w, &root);
+
+    // Fork before the cross commit: the logs still hold the records
+    // past the fork point, which the fork's first sync must drop.
+    let (forked, report) = ShardedService::recover_at(&mut backup, &root, before_cross).unwrap();
+    assert_eq!(report.rolled_back_prepares, Vec::<u64>::new());
+    assert_eq!(forked.stats().seq, before_cross + 1);
+    assert!(forked.stats().seq <= cross_seq);
+    commit_sync_and_recover_again(&w, &forked, &root, &mut backup);
 }
