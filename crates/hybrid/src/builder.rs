@@ -156,7 +156,7 @@ impl EngineBuilder {
         hy.set_staging_mode(self.staging_mode);
         hy.set_future_features(self.features);
         for script in &self.custom_scripts {
-            if let Err(e) = hy.fmcad_mut().run_script(script) {
+            if let Err(e) = hy.fmcad.run_script(script) {
                 panic!("constructor-time customisation script failed: {e}");
             }
         }

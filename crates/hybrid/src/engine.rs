@@ -20,7 +20,7 @@ use std::fmt;
 use std::ops::Deref;
 
 use cad_tools::ToolKind;
-use cad_vfs::{Blob, CostMeter, NodeKind, Vfs, VfsPath};
+use cad_vfs::{Blob, CostMeter, NodeKind, Vfs, VfsError, VfsPath};
 use fmcad::Fmcad;
 use jcf::{
     ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
@@ -47,7 +47,6 @@ const META_MAGIC: &str = "hybrid-meta v1";
 const OMS_IMG: &str = "oms.img";
 const FS_IMG: &str = "fs.img";
 const HYBRID_META: &str = "hybrid.meta";
-const JOURNAL_LOG: &str = "journal.log";
 
 /// Magic first line of the checkpoint-chain manifest ([`CK_MANIFEST`]).
 const CK_MAGIC: &str = "hybrid-ck v1";
@@ -77,13 +76,13 @@ fn delta_file(id: u64) -> String {
 /// Dereferences to [`Hybrid`] for all read access; mutations go
 /// through [`Engine::apply`] (or the typed wrappers built on it).
 ///
-/// With default features that is the *only* mutation path: the raw
-/// `jcf_mut()` / `fmcad_mut()` handles that bypass the journal exist
-/// only behind the `raw-handles` feature, so this does not compile:
+/// That is the *only* mutation path: there are no raw `jcf_mut()` /
+/// `fmcad_mut()` handles that bypass the journal, so this does not
+/// compile:
 ///
 /// ```compile_fail
 /// let mut en = hybrid::Engine::builder().build();
-/// en.jcf_mut(); // requires the `raw-handles` feature
+/// en.jcf_mut(); // no bypass handle exists
 /// ```
 pub struct Engine {
     hy: Hybrid,
@@ -104,7 +103,7 @@ pub struct Engine {
     /// once [`Engine::checkpoint`] has written a base image. Holds the
     /// chain-head state the next delta diffs against; `None` means the
     /// next checkpoint writes a full base and [`Engine::sync_journal`]
-    /// falls back to the legacy whole-file journal.
+    /// refuses to run.
     durable: Option<DurableState>,
 }
 
@@ -165,25 +164,6 @@ impl Engine {
             snap_cache: std::sync::Mutex::new(None),
             durable: None,
         }
-    }
-
-    /// Mutable access to the master framework, bypassing the journal.
-    /// Only available with the `raw-handles` feature (tests and
-    /// experiments that must poke the frameworks directly).
-    #[cfg(feature = "raw-handles")]
-    pub fn jcf_mut(&mut self) -> &mut Jcf {
-        // Raw handles mutate state without bumping `seq`, so the
-        // seq-keyed snapshot cache cannot tell; drop it.
-        self.invalidate_snap_cache();
-        self.hy.jcf_mut()
-    }
-
-    /// Mutable access to the slave framework, bypassing the journal.
-    /// Only available with the `raw-handles` feature.
-    #[cfg(feature = "raw-handles")]
-    pub fn fmcad_mut(&mut self) -> &mut Fmcad {
-        self.invalidate_snap_cache();
-        self.hy.fmcad_mut()
     }
 
     /// Total operations applied so far (successes and failures).
@@ -2043,9 +2023,10 @@ pub struct RecoveryReport {
     /// The unterminated trailing bytes dropped from the journal, if
     /// the tail was torn.
     pub dropped_fragment: Option<String>,
-    /// File (inside the checkpoint directory) whose tail was torn, if
-    /// any: a journal segment like `seg-3.log`, or `journal.log` for
-    /// the legacy whole-file layout.
+    /// File whose tail was torn, if any: a journal segment inside the
+    /// checkpoint directory like `seg-3.log`, or, for a sharded
+    /// backup, an envelope log under the backup root like
+    /// `ck-2/shard-0.log`.
     pub torn_segment: Option<String>,
     /// Byte offset within [`RecoveryReport::torn_segment`] at which the
     /// dropped fragment begins.
@@ -2311,24 +2292,20 @@ impl Engine {
     /// open (newest) segment is rewritten per sync, so sync cost is
     /// bounded by the segment cap instead of growing with the tail.
     /// The whole sync — sealed segments, open segment, manifest — is
-    /// one atomic group commit. Without a chain the legacy whole-file
-    /// `journal.log` is written instead.
+    /// one atomic group commit.
     ///
     /// # Errors
     ///
-    /// Returns backup file system errors — typed [`HybridError::Vfs`]
-    /// faults for injected or out-of-space writes, journal errors for
-    /// framing problems.
+    /// Returns [`HybridError::Journal`], writing nothing, when no
+    /// [`Engine::checkpoint`] into `dir` has anchored a chain yet;
+    /// otherwise backup file system errors — typed
+    /// [`HybridError::Vfs`] faults for injected or out-of-space
+    /// writes, journal errors for framing problems.
     pub fn sync_journal(&mut self, backup: &mut Vfs, dir: &VfsPath) -> HybridResult<()> {
         let Some(d) = self.durable.as_ref().filter(|d| d.dir == *dir) else {
-            let entries: Vec<String> = self.journal.iter().map(Op::to_line).collect();
-            oms::persist::save_journal(backup, &dir.join(JOURNAL_LOG)?, &entries).map_err(|e| {
-                match e {
-                    oms::OmsError::Vfs(fs) => HybridError::Vfs(fs),
-                    other => HybridError::Journal(format!("journal: {other}")),
-                }
-            })?;
-            return Ok(());
+            return Err(HybridError::Journal(format!(
+                "sync before first checkpoint: no chain in {dir} to anchor the journal to"
+            )));
         };
         let head = d.manifest.head_seq();
         debug_assert_eq!(self.seq - head, self.journal.len() as u64);
@@ -2393,17 +2370,17 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`HybridError::Journal`] for corrupt images,
+    /// Returns [`HybridError::Vfs`] with [`VfsError::NotFound`] naming
+    /// `dir/ck.manifest` when `dir` holds no checkpoint chain (nothing
+    /// was ever checkpointed there), [`HybridError::DeltaChain`] or
+    /// [`HybridError::Jcf`] for corrupt images,
     /// [`HybridError::TornJournal`] when the journal tail is truncated
     /// mid-entry (see [`Engine::recover_from`]), plus framework errors
     /// from the rebuild.
     pub fn restore_from(backup: &mut Vfs, dir: &VfsPath) -> HybridResult<Engine> {
-        if backup.exists(&dir.join(CK_MANIFEST)?) {
-            let base = Self::load_base(backup, dir)?;
-            Ok(Self::restore_chain(backup, dir, &base, None, false)?.0)
-        } else {
-            Ok(Self::restore_inner(backup, dir, false)?.0)
-        }
+        Self::require_chain(backup, dir)?;
+        let base = Self::load_base(backup, dir)?;
+        Ok(Self::restore_chain(backup, dir, &base, None, false)?.0)
     }
 
     /// Restarts like [`Engine::restore_from`], but *recovers* from a
@@ -2418,30 +2395,21 @@ impl Engine {
     /// Same as [`Engine::restore_from`], except a torn tail is handled
     /// instead of reported.
     pub fn recover_from(backup: &mut Vfs, dir: &VfsPath) -> HybridResult<(Engine, RecoveryReport)> {
-        if backup.exists(&dir.join(CK_MANIFEST)?) {
-            let base = Self::load_base(backup, dir)?;
-            return Self::restore_chain(backup, dir, &base, None, true);
+        Self::require_chain(backup, dir)?;
+        let base = Self::load_base(backup, dir)?;
+        Self::restore_chain(backup, dir, &base, None, true)
+    }
+
+    /// Refuses a directory without a chain manifest — nothing was
+    /// checkpointed there — with a typed [`VfsError::NotFound`] naming
+    /// the manifest.
+    fn require_chain(backup: &Vfs, dir: &VfsPath) -> HybridResult<()> {
+        let manifest = dir.join(CK_MANIFEST)?;
+        if backup.exists(&manifest) {
+            Ok(())
+        } else {
+            Err(HybridError::Vfs(VfsError::NotFound(manifest)))
         }
-        let (engine, replayed, torn) = Self::restore_inner(backup, dir, true)?;
-        let (dropped_fragment, torn_segment, torn_offset) = match torn {
-            Some(tail) => (
-                Some(tail.fragment),
-                Some(JOURNAL_LOG.to_owned()),
-                Some(tail.offset),
-            ),
-            None => (None, None, None),
-        };
-        Ok((
-            engine,
-            RecoveryReport {
-                replayed,
-                dropped_fragment,
-                torn_segment,
-                torn_offset,
-                chain_break: None,
-                rolled_back_prepares: Vec::new(),
-            },
-        ))
     }
 
     /// **Point-in-time recovery**: restores the engine to *exactly*
@@ -2468,11 +2436,6 @@ impl Engine {
         dir: &VfsPath,
         seq: u64,
     ) -> HybridResult<(Engine, RecoveryReport)> {
-        if !backup.exists(&dir.join(CK_MANIFEST)?) {
-            return Err(HybridError::DeltaChain(format!(
-                "{dir} has no chain manifest; point-in-time recovery needs the segmented layout"
-            )));
-        }
         let base = Self::load_base(backup, dir)?;
         Self::restore_chain(backup, dir, &base, Some(seq), false)
     }
@@ -2552,7 +2515,7 @@ impl Engine {
     /// longer needs for a newest-state restore: retired segments
     /// (their entries are covered by delta checkpoints), stale
     /// segments and deltas from abandoned forks or rebases, leftover
-    /// `*.tmp` staging debris, and a legacy `journal.log`. The journal
+    /// `*.tmp` staging debris, and any other file it does not name. The journal
     /// tail is synced first — recovery may have moved the open slot to
     /// a fresh segment id whose file is not on disk yet, and the
     /// rewritten manifest must only ever reference files that exist.
@@ -2937,47 +2900,8 @@ impl Engine {
         Ok(true)
     }
 
-    /// Shared body of [`Engine::restore_from`] / [`Engine::recover_from`]:
-    /// rebuilds the engine from the checkpoint and replays the journal,
-    /// either rejecting or dropping a torn tail.
-    fn restore_inner(
-        backup: &mut Vfs,
-        dir: &VfsPath,
-        drop_torn_tail: bool,
-    ) -> HybridResult<(Engine, usize, Option<oms::persist::TornTail>)> {
-        let meta_bytes = backup.read(&dir.join(HYBRID_META)?)?;
-        let meta = parse_meta(&String::from_utf8_lossy(&meta_bytes))?;
-        let image_bytes = backup.read(&dir.join(FS_IMG)?)?;
-        let (fs, meter, fs_clock) = restore_fs(&String::from_utf8_lossy(&image_bytes))?;
-        let db = oms::persist::load(jcf::schema::jcf_schema(), backup, &dir.join(OMS_IMG)?)
-            .map_err(|e| HybridError::Jcf(jcf::JcfError::Database(e)))?;
-        let mut engine = Self::assemble_from_parts(db, fs, meter, fs_clock, meta)?;
-
-        // Replay the journal tail. Each op is re-applied through the
-        // normal path, so the journal, the sequence counter and the
-        // sinks advance exactly as they did live — including ops that
-        // failed, whose partial effects (started executions, clock
-        // bumps, staged reads) are part of the state being restored.
-        let (lines, torn) = oms::persist::load_journal_lenient(backup, &dir.join(JOURNAL_LOG)?)
-            .map_err(|e| HybridError::Journal(format!("journal: {e}")))?;
-        if let Some(tail) = &torn {
-            if !drop_torn_tail {
-                return Err(HybridError::TornJournal {
-                    complete: lines.len(),
-                    fragment: tail.fragment.clone(),
-                });
-            }
-        }
-        let replayed = lines.len();
-        for line in lines {
-            let op = Op::parse_line(&line)?;
-            let _ = engine.apply(op);
-        }
-        Ok((engine, replayed, torn))
-    }
-
     /// Rebuilds an engine from its restored parts — the shared middle
-    /// of every restore path, legacy or chained: re-open FMCAD over
+    /// of every restore path: re-open FMCAD over
     /// the tree (re-running the §2.4 bootstrap and re-coupling every
     /// mapped library — customisation state is session-local), resume
     /// the OMS desktop counters, re-intern the coupling maps, and

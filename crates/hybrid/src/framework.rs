@@ -256,17 +256,9 @@ impl Hybrid {
     }
 
     /// Mutable access to the master framework's desktop, bypassing the
-    /// engine's ops journal. Only available with the `raw-handles`
-    /// feature; prefer [`Engine::apply`](crate::Engine::apply).
-    #[cfg(feature = "raw-handles")]
-    pub fn jcf_mut(&mut self) -> &mut Jcf {
-        &mut self.jcf
-    }
-
-    /// Mutable access to the master framework's desktop (crate-internal
-    /// without the `raw-handles` feature).
-    #[cfg(not(feature = "raw-handles"))]
-    #[allow(dead_code)]
+    /// engine's ops journal — for unit tests that poke the framework
+    /// directly.
+    #[cfg(test)]
     pub(crate) fn jcf_mut(&mut self) -> &mut Jcf {
         &mut self.jcf
     }
@@ -277,17 +269,8 @@ impl Hybrid {
     }
 
     /// Mutable access to the slave framework, bypassing the engine's
-    /// ops journal. Only available with the `raw-handles` feature;
-    /// out-of-band FMCAD activity is journalable via the `fmcad-*` ops.
-    #[cfg(feature = "raw-handles")]
-    pub fn fmcad_mut(&mut self) -> &mut Fmcad {
-        &mut self.fmcad
-    }
-
-    /// Mutable access to the slave framework (crate-internal without
-    /// the `raw-handles` feature).
-    #[cfg(not(feature = "raw-handles"))]
-    #[allow(dead_code)]
+    /// ops journal — for unit tests that poke the framework directly.
+    #[cfg(test)]
     pub(crate) fn fmcad_mut(&mut self) -> &mut Fmcad {
         &mut self.fmcad
     }

@@ -177,7 +177,6 @@ pub struct Jcf {
     pub(crate) rels: Rels,
     pub(crate) desktop_ops: u64,
     pub(crate) clock: i64,
-    pub(crate) checkpointer: oms::persist::Checkpointer,
 }
 
 impl Default for Jcf {
@@ -230,7 +229,6 @@ impl Jcf {
             rels,
             desktop_ops: 0,
             clock: 0,
-            checkpointer: oms::persist::Checkpointer::new(),
         }
     }
 
@@ -243,75 +241,26 @@ impl Jcf {
     /// Takes a point-in-time copy of the installation for concurrent
     /// readers: the OMS store is snapshotted (metadata maps copied,
     /// design-data blobs shared by reference — see
-    /// [`Database::snapshot`]), the desktop counters are carried over,
-    /// and the incremental checkpoint cache is reset. The copy answers
-    /// every `&self` navigation and [`Jcf::peek_design_data`] query
-    /// exactly as the live installation would at this instant, and is
-    /// fully independent of later desktop operations.
+    /// [`Database::snapshot`]) and the desktop counters are carried
+    /// over. The copy answers every `&self` navigation and
+    /// [`Jcf::peek_design_data`] query exactly as the live installation
+    /// would at this instant, and is fully independent of later desktop
+    /// operations.
     pub fn snapshot(&self) -> Jcf {
         Jcf {
             db: self.db.snapshot(),
             rels: self.rels,
             desktop_ops: self.desktop_ops,
             clock: self.clock,
-            checkpointer: oms::persist::Checkpointer::new(),
         }
-    }
-
-    /// Checkpoints the entire OMS database — metadata *and* design
-    /// data — to a file in the virtual file system. This is how JCF
-    /// installations were backed up: everything lives in one store.
-    ///
-    /// Serialisation is incremental: a per-object content-hash cache
-    /// ([`oms::persist::Checkpointer`]) re-encodes only objects that
-    /// changed since the previous checkpoint of this framework.
-    ///
-    /// # Errors
-    ///
-    /// Returns database/file-system errors wrapped as [`JcfError`].
-    pub fn checkpoint(&mut self, fs: &mut cad_vfs::Vfs, path: &cad_vfs::VfsPath) -> JcfResult<()> {
-        self.bump();
-        self.checkpointer
-            .save(&self.db, fs, path)
-            .map_err(JcfError::Database)
-    }
-
-    /// Restores a framework from a checkpoint written by
-    /// [`Jcf::checkpoint`]. All object ids remain valid across the
-    /// restart; the desktop-operation counter starts fresh.
-    ///
-    /// # Errors
-    ///
-    /// Returns a corrupt-image error for damaged checkpoints.
-    pub fn restore(fs: &mut cad_vfs::Vfs, path: &cad_vfs::VfsPath) -> JcfResult<Jcf> {
-        let db = oms::persist::load(crate::schema::jcf_schema(), fs, path)
-            .map_err(JcfError::Database)?;
-        let mut jcf = Jcf::new();
-        jcf.db = db;
-        // Resume the logical clock past every restored timestamp so new
-        // events sort after old ones.
-        let mut max_time = 0i64;
-        for class in ["DesignObjectVersion", "ActivityExecution"] {
-            let class = jcf.class(class);
-            for id in jcf.db.objects_of(class) {
-                for attr in ["created_at", "started_at"] {
-                    if let Ok(v) = jcf.db.get(id, attr) {
-                        max_time = max_time.max(v.as_int().unwrap_or(0));
-                    }
-                }
-            }
-        }
-        jcf.clock = max_time;
-        Ok(jcf)
     }
 
     /// Rebuilds a framework around an already-restored [`Database`]
     /// over the JCF schema — the warm half of delta recovery: the
     /// caller parsed (or cached) a base image, applied delta records,
     /// and hands over the result. The desktop counters and logical
-    /// clock start at zero; delta chains always persist the exact
-    /// counters, so callers follow up with [`Jcf::resume_counters`]
-    /// instead of the lossy timestamp scan [`Jcf::restore`] performs.
+    /// clock start at zero; checkpoint chains persist the exact
+    /// counters, so callers follow up with [`Jcf::resume_counters`].
     pub fn from_database(db: Database) -> Jcf {
         let mut jcf = Jcf::new();
         jcf.db = db;
@@ -330,10 +279,8 @@ impl Jcf {
     }
 
     /// Resumes the desktop-operation counter and logical clock at exact
-    /// recorded values. [`Jcf::restore`] alone is lossy (it rebuilds the
-    /// clock from the surviving timestamps and zeroes the counter);
-    /// callers that persist the counters alongside the image use this to
-    /// continue the original timeline tick for tick.
+    /// recorded values, so a framework rebuilt by [`Jcf::from_database`]
+    /// continues the original timeline tick for tick.
     pub fn resume_counters(&mut self, desktop_ops: u64, clock: i64) {
         self.desktop_ops = desktop_ops;
         self.clock = clock;
@@ -928,60 +875,6 @@ mod tests {
         jcf.declare_comp_of(admin, cv, local).unwrap();
         assert!(jcf.is_declared_child(cv, local));
         assert_eq!(jcf.comp_of(cv), vec![local]);
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_the_installation() {
-        let (mut jcf, admin) = managed();
-        let alice = jcf.add_user("alice", false).unwrap();
-        let team = jcf.add_team(admin, "t").unwrap();
-        jcf.add_team_member(admin, team, alice).unwrap();
-        let flow = jcf.define_flow(admin, "f").unwrap();
-        let project = jcf.create_project("p").unwrap();
-        let cell = jcf.create_cell(project, "alu").unwrap();
-        let (cv, variant) = jcf.create_cell_version(cell, flow, team).unwrap();
-        jcf.reserve(alice, cv).unwrap();
-        let vt = jcf.add_viewtype("schematic").unwrap();
-        let d = jcf.create_design_object(alice, variant, "sch", vt).unwrap();
-        let dov = jcf
-            .add_design_object_version(alice, d, b"data".to_vec())
-            .unwrap();
-
-        let mut fs = cad_vfs::Vfs::new();
-        let path = cad_vfs::VfsPath::parse("/backup/jcf.db").unwrap();
-        fs.mkdir_all(&path.parent().unwrap()).unwrap();
-        jcf.checkpoint(&mut fs, &path).unwrap();
-
-        let mut restored = Jcf::restore(&mut fs, &path).unwrap();
-        // Structure, reservation and data all survive by id.
-        assert_eq!(restored.cells_of(project), vec![cell]);
-        assert_eq!(restored.reserver(cv), Some(alice));
-        assert_eq!(restored.read_design_data(alice, dov).unwrap(), b"data");
-        // And work continues: a new version stamps after the old one.
-        let dov2 = restored
-            .add_design_object_version(alice, d, b"v2".to_vec())
-            .unwrap();
-        let t1 = restored
-            .database()
-            .get(dov.object_id(), "created_at")
-            .unwrap()
-            .as_int()
-            .unwrap();
-        let t2 = restored
-            .database()
-            .get(dov2.object_id(), "created_at")
-            .unwrap()
-            .as_int()
-            .unwrap();
-        assert!(t2 > t1, "clock resumes past restored timestamps");
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_checkpoints() {
-        let mut fs = cad_vfs::Vfs::new();
-        let path = cad_vfs::VfsPath::parse("/bad.db").unwrap();
-        fs.write(&path, b"nonsense".to_vec()).unwrap();
-        assert!(Jcf::restore(&mut fs, &path).is_err());
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //! Text and byte values are hex-encoded so arbitrary content (including
 //! newlines) survives the round trip.
 //!
-//! Repeated checkpoints of a mostly-unchanged store should not pay
-//! full re-serialisation: a [`Checkpointer`] caches the serialised
-//! block of every object keyed by a content hash (blob payloads
-//! contribute their cached [`Blob`](cad_vfs::Blob) hash, so unchanged
-//! design data is never re-hex-encoded), and reuses the block when the
-//! hash matches.
-
-use std::collections::BTreeMap;
+//! The module writes no database file by itself: the hybrid engine's
+//! checkpoint chain stores a base image rendered by [`dump`] and
+//! delta images rendered by [`dump_delta`] through the atomic
+//! [`save_text`], and reads them back with [`load_text`] followed by
+//! [`parse`] and [`apply_delta`]. The operations journal between
+//! checkpoints uses the line-framed [`render_journal`] format.
 
 use cad_vfs::{Vfs, VfsPath};
 
@@ -42,7 +40,10 @@ pub fn dump(db: &Database) -> String {
     for (id, obj) in objects {
         out.push_str(&object_block(id, obj, schema));
     }
-    append_links(&mut out, schema, &links);
+    for (rel, s, t) in links {
+        let rel_name = &schema.relationship(rel).name;
+        out.push_str(&format!("link {} {} {}\n", rel_name, s.raw(), t.raw()));
+    }
     out
 }
 
@@ -53,37 +54,6 @@ fn object_block(id: ObjectId, obj: &Object, schema: &Schema) -> String {
         out.push_str(&format!("attr {} {} {}\n", id.raw(), name, encode(value)));
     }
     out
-}
-
-fn append_links(
-    out: &mut String,
-    schema: &Schema,
-    links: &[(crate::schema::RelId, ObjectId, ObjectId)],
-) {
-    for (rel, s, t) in links {
-        let rel_name = &schema.relationship(*rel).name;
-        out.push_str(&format!("link {} {} {}\n", rel_name, s.raw(), t.raw()));
-    }
-}
-
-/// FNV-1a 64 accumulator for object fingerprints.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
 }
 
 /// The FNV-1a 64 offset basis — the initial accumulator state for
@@ -100,114 +70,12 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// [`FNV_OFFSET`]). Chained segment fingerprints use this so each
 /// manifest record commits to the whole journal prefix, not just its
 /// own bytes.
-pub fn fnv64_seeded(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = Fnv(state);
-    h.write(bytes);
-    h.0
-}
-
-/// A content fingerprint of one object: class plus every attribute.
-/// Byte payloads contribute their cached blob hash, so fingerprinting
-/// an unchanged multi-megabyte design costs one `u64` read, not a
-/// re-scan of the payload.
-fn object_hash(obj: &Object, schema: &Schema) -> u64 {
-    let mut h = Fnv::new();
-    h.write(schema.class(obj.class).name.as_bytes());
-    for (name, value) in &obj.attrs {
-        h.write_u64(name.len() as u64);
-        h.write(name.as_bytes());
-        match value {
-            Value::Int(i) => {
-                h.write_u64(1);
-                h.write_u64(*i as u64);
-            }
-            Value::Bool(b) => {
-                h.write_u64(2);
-                h.write_u64(u64::from(*b));
-            }
-            Value::Text(s) => {
-                h.write_u64(3);
-                h.write_u64(s.len() as u64);
-                h.write(s.as_bytes());
-            }
-            Value::Bytes(b) => {
-                h.write_u64(4);
-                h.write_u64(b.content_hash());
-            }
-        }
+pub fn fnv64_seeded(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h.0
-}
-
-/// Incremental image writer with per-object dirty tracking.
-///
-/// Holds the serialised block of every object from the previous
-/// checkpoint keyed by its content fingerprint; objects whose
-/// fingerprint is unchanged reuse the cached block instead of being
-/// re-encoded. Deleted objects fall out of the cache naturally, and
-/// the produced image is byte-identical to [`dump`].
-#[derive(Debug, Default)]
-pub struct Checkpointer {
-    cache: BTreeMap<u64, (u64, String)>,
-    last_reused: usize,
-    last_serialized: usize,
-}
-
-impl Checkpointer {
-    /// A checkpointer with an empty cache (first dump serialises all).
-    pub fn new() -> Checkpointer {
-        Checkpointer::default()
-    }
-
-    /// Objects whose cached block was reused in the last [`Checkpointer::dump`].
-    pub fn last_reused(&self) -> usize {
-        self.last_reused
-    }
-
-    /// Objects that were (re-)serialised in the last [`Checkpointer::dump`].
-    pub fn last_serialized(&self) -> usize {
-        self.last_serialized
-    }
-
-    /// Serialises the database, reusing cached blocks for unchanged
-    /// objects. Output is byte-identical to [`dump`].
-    pub fn dump(&mut self, db: &Database) -> String {
-        let (schema, objects, links) = db.raw_parts();
-        let mut out = String::from("oms-image v1\n");
-        let mut fresh = BTreeMap::new();
-        self.last_reused = 0;
-        self.last_serialized = 0;
-        for (id, obj) in objects {
-            let hash = object_hash(obj, schema);
-            let block = match self.cache.remove(&id.raw()) {
-                Some((cached_hash, block)) if cached_hash == hash => {
-                    self.last_reused += 1;
-                    block
-                }
-                _ => {
-                    self.last_serialized += 1;
-                    object_block(id, obj, schema)
-                }
-            };
-            out.push_str(&block);
-            fresh.insert(id.raw(), (hash, block));
-        }
-        self.cache = fresh;
-        append_links(&mut out, schema, &links);
-        out
-    }
-
-    /// Writes the (incrementally serialised) image to `path`
-    /// atomically, like [`save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates file system errors as a corrupt-image error carrying
-    /// the message, like [`save`].
-    pub fn save(&mut self, db: &Database, fs: &mut Vfs, path: &VfsPath) -> OmsResult<()> {
-        let image = self.dump(db);
-        atomic_write(fs, path, image.into_bytes())
-    }
+    state
 }
 
 /// The sibling staging path (`<name>.tmp`) the atomic-commit protocol
@@ -549,39 +417,6 @@ fn parse_link_triple(
     Ok((rel, ObjectId::for_tests(s), ObjectId::for_tests(t)))
 }
 
-/// Writes the database image to `path` in the virtual file system,
-/// atomically: the image is staged at a sibling `*.tmp` path and
-/// renamed into place, so a reader at `path` observes either the old
-/// image or the complete new one — never a partial write.
-///
-/// # Errors
-///
-/// Propagates file system errors as typed [`OmsError::Vfs`] values, so
-/// callers can distinguish an injected fault or a full disk from a
-/// corrupt image.
-pub fn save(db: &Database, fs: &mut Vfs, path: &VfsPath) -> OmsResult<()> {
-    let image = dump(db);
-    atomic_write(fs, path, image.into_bytes())
-}
-
-/// Reads a database image from `path` in the virtual file system.
-///
-/// # Errors
-///
-/// Returns [`OmsError::CorruptImage`] if the file is missing, not
-/// UTF-8, or does not parse against `schema`.
-pub fn load(schema: Schema, fs: &mut Vfs, path: &VfsPath) -> OmsResult<Database> {
-    let bytes = fs.read(path).map_err(|e| OmsError::CorruptImage {
-        line: 0,
-        reason: e.to_string(),
-    })?;
-    let text = std::str::from_utf8(&bytes).map_err(|_| OmsError::CorruptImage {
-        line: 0,
-        reason: "image is not utf-8".to_owned(),
-    })?;
-    parse(schema, text)
-}
-
 /// Writes a small text file (an epoch pointer, a metadata manifest)
 /// atomically: staged in full at the sibling [`staging_path`], then
 /// renamed into place. The rename is the single commit point, so a
@@ -906,17 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_through_vfs() {
-        let db = populated();
-        let mut fs = Vfs::new();
-        let path = VfsPath::parse("/oms/checkpoint.db").unwrap();
-        fs.mkdir_all(&path.parent().unwrap()).unwrap();
-        save(&db, &mut fs, &path).unwrap();
-        let restored = load(sample_schema(), &mut fs, &path).unwrap();
-        assert_eq!(dump(&restored), dump(&db));
-    }
-
-    #[test]
     fn bad_header_rejected() {
         assert!(matches!(
             parse(sample_schema(), "nonsense\n"),
@@ -947,10 +771,10 @@ mod tests {
 
     #[test]
     fn missing_file_reports_corrupt_image() {
-        let mut fs = Vfs::new();
+        let fs = Vfs::new();
         let path = VfsPath::parse("/nope").unwrap();
         assert!(matches!(
-            load(sample_schema(), &mut fs, &path),
+            load_text(&fs, &path),
             Err(OmsError::CorruptImage { .. })
         ));
     }
@@ -962,55 +786,6 @@ mod tests {
         assert_eq!(tag_type("bool"), Some(AttrType::Bool));
         assert_eq!(tag_type("bytes"), Some(AttrType::Bytes));
         assert_eq!(tag_type("float"), None);
-    }
-
-    #[test]
-    fn checkpointer_matches_full_dump_and_tracks_dirt() {
-        let mut db = populated();
-        let mut ck = Checkpointer::new();
-        // First dump: everything serialised, image identical to dump().
-        assert_eq!(ck.dump(&db), dump(&db));
-        assert_eq!(ck.last_serialized(), 2);
-        assert_eq!(ck.last_reused(), 0);
-        // Nothing changed: everything reused, image still identical.
-        assert_eq!(ck.dump(&db), dump(&db));
-        assert_eq!(ck.last_serialized(), 0);
-        assert_eq!(ck.last_reused(), 2);
-        // Touch one object: exactly one block re-serialised.
-        let cell = db.schema().class_by_name("Cell").unwrap();
-        let a = db.find_by_attr(cell, "name", &Value::from("leaf")).unwrap();
-        db.set(a, "size", Value::from(7i64)).unwrap();
-        assert_eq!(ck.dump(&db), dump(&db));
-        assert_eq!(ck.last_serialized(), 1);
-        assert_eq!(ck.last_reused(), 1);
-    }
-
-    #[test]
-    fn checkpointer_drops_deleted_objects() {
-        let mut db = populated();
-        let mut ck = Checkpointer::new();
-        ck.dump(&db);
-        let cell = db.schema().class_by_name("Cell").unwrap();
-        let uses = db.schema().relationship_by_name("uses").unwrap();
-        let top = db
-            .find_by_attr(cell, "name", &Value::from("top\nwith newline"))
-            .unwrap();
-        let leaf = db.find_by_attr(cell, "name", &Value::from("leaf")).unwrap();
-        db.unlink(uses, top, leaf).unwrap();
-        db.delete(leaf).unwrap();
-        assert_eq!(ck.dump(&db), dump(&db));
-    }
-
-    #[test]
-    fn checkpointer_save_round_trips() {
-        let db = populated();
-        let mut fs = Vfs::new();
-        let path = VfsPath::parse("/oms/checkpoint.db").unwrap();
-        fs.mkdir_all(&path.parent().unwrap()).unwrap();
-        let mut ck = Checkpointer::new();
-        ck.save(&db, &mut fs, &path).unwrap();
-        let restored = load(sample_schema(), &mut fs, &path).unwrap();
-        assert_eq!(dump(&restored), dump(&db));
     }
 
     #[test]
@@ -1090,16 +865,17 @@ mod tests {
     fn save_is_atomic_under_injected_faults() {
         use cad_vfs::FaultPlan;
         let db = populated();
+        let image = dump(&db);
         let mut fs = Vfs::new();
         let path = VfsPath::parse("/oms/checkpoint.db").unwrap();
         fs.mkdir_all(&path.parent().unwrap()).unwrap();
-        save(&db, &mut fs, &path).unwrap();
+        save_text(&mut fs, &path, &image).unwrap();
         let committed = fs.read(&path).unwrap();
         // Tear every subsequent save: the destination must keep the
         // previously committed image, byte for byte.
         for seed in 0..8 {
             fs.arm_faults(FaultPlan::new(seed).torn_write(1));
-            assert!(save(&db, &mut fs, &path).is_err());
+            assert!(save_text(&mut fs, &path, &image).is_err());
             fs.disarm_faults();
             assert_eq!(
                 fs.read(&path).unwrap(),
@@ -1110,29 +886,13 @@ mod tests {
         // A fresh destination with a torn first save: nothing appears.
         let fresh = VfsPath::parse("/oms/fresh.db").unwrap();
         fs.arm_faults(FaultPlan::new(1).torn_write(1));
-        assert!(save(&db, &mut fs, &fresh).is_err());
+        assert!(save_text(&mut fs, &fresh, &image).is_err());
         fs.disarm_faults();
         assert!(!fs.exists(&fresh), "no partial image at a fresh path");
         // After the fault clears, the save commits and loads clean.
-        save(&db, &mut fs, &path).unwrap();
-        let restored = load(sample_schema(), &mut fs, &path).unwrap();
-        assert_eq!(dump(&restored), dump(&db));
-    }
-
-    #[test]
-    fn checkpointer_save_is_atomic_under_injected_faults() {
-        use cad_vfs::FaultPlan;
-        let db = populated();
-        let mut fs = Vfs::new();
-        let path = VfsPath::parse("/oms/checkpoint.db").unwrap();
-        fs.mkdir_all(&path.parent().unwrap()).unwrap();
-        let mut ck = Checkpointer::new();
-        ck.save(&db, &mut fs, &path).unwrap();
-        let committed = fs.read(&path).unwrap();
-        fs.arm_faults(FaultPlan::new(3).torn_write(1));
-        assert!(ck.save(&db, &mut fs, &path).is_err());
-        fs.disarm_faults();
-        assert_eq!(fs.read(&path).unwrap(), committed);
+        save_text(&mut fs, &path, &image).unwrap();
+        let restored = parse(sample_schema(), &load_text(&fs, &path).unwrap()).unwrap();
+        assert_eq!(dump(&restored), image);
     }
 
     #[test]

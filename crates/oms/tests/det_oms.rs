@@ -1,6 +1,6 @@
 //! Deterministic randomized suite (SplitMix64-driven): transaction
-//! rollback and commit, image round trips and the incremental
-//! checkpointer under random mutation histories.
+//! rollback and commit and image round trips under random mutation
+//! histories.
 
 use cad_vfs::SplitMix64;
 use oms::{persist, AttrType, Cardinality, Database, OmsResult, Schema, SchemaBuilder, Value};
@@ -109,20 +109,4 @@ fn commit_equals_plain_apply() {
         assert!(result.is_ok(), "seed {seed}");
         assert_eq!(persist::dump(&txn), persist::dump(&plain), "seed {seed}");
     }
-}
-
-#[test]
-fn checkpointer_always_matches_full_dump() {
-    // The incremental checkpointer must produce byte-identical images
-    // to the full dump at every step of a random mutation history.
-    let mut rng = SplitMix64::new(8);
-    let mut db = Database::new(schema());
-    let mut ckpt = persist::Checkpointer::new();
-    for step in 0..60 {
-        mutate(&mut db, &mut rng, 3);
-        assert_eq!(ckpt.dump(&db), persist::dump(&db), "step {step}");
-    }
-    // A dump with no intervening mutation serializes nothing afresh.
-    let _ = ckpt.dump(&db);
-    assert_eq!(ckpt.last_serialized(), 0);
 }

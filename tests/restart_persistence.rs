@@ -2,10 +2,12 @@
 //! engine checkpoints everything (OMS image, file system image,
 //! coupling state) into a backup disk, the ops applied afterwards land
 //! in a persisted journal tail, and a restart is checkpoint ⊕ replay.
+//! The checkpoint chain is the only persisted layout: a directory
+//! without one is refused with a typed error, never misread.
 
-use cad_vfs::{Blob, Vfs, VfsPath};
+use cad_vfs::{Blob, Vfs, VfsError, VfsPath};
 use design_data::{format, generate};
-use hybrid::{Engine, StagingMode, ToolOutput};
+use hybrid::{Engine, HybridError, StagingMode, ToolOutput};
 use jcf::Jcf;
 
 /// One full power-cycle per staging mode, in a single test function so
@@ -105,6 +107,55 @@ fn checkpoint_and_replay_survive_a_power_cycle_in_both_staging_modes() {
             ),
         }
     }
+}
+
+#[test]
+fn a_directory_without_a_chain_manifest_is_refused_by_restore_and_recover() {
+    let mut en = Engine::new();
+    let project = en.create_project("p").unwrap();
+    en.create_cell(project, "fa").unwrap();
+    let mut backup = Vfs::new();
+    let dir = VfsPath::parse("/backup/site-a").unwrap();
+    en.checkpoint(&mut backup, &dir).unwrap();
+    en.create_cell(project, "ha").unwrap();
+    en.sync_journal(&mut backup, &dir).unwrap();
+
+    // Every other chain file stays; only the commit point is gone.
+    let manifest = dir.join("ck.manifest").unwrap();
+    backup.remove_file(&manifest).unwrap();
+    let refused = |err: &HybridError| matches!(err, HybridError::Vfs(VfsError::NotFound(p)) if *p == manifest);
+    let err = Engine::restore_from(&mut backup, &dir).unwrap_err();
+    assert!(refused(&err), "restore_from: {err:?}");
+    let err = Engine::recover_from(&mut backup, &dir).unwrap_err();
+    assert!(refused(&err), "recover_from: {err:?}");
+}
+
+#[test]
+fn sync_journal_before_the_first_checkpoint_is_refused_and_writes_nothing() {
+    let mut en = Engine::new();
+    en.create_project("p").unwrap();
+    let mut backup = Vfs::new();
+    let dir = VfsPath::parse("/backup/site-a").unwrap();
+    backup.mkdir_all(&dir).unwrap();
+    let listing_before = (
+        backup
+            .read_dir(&VfsPath::parse("/backup").unwrap())
+            .unwrap(),
+        backup.read_dir(&dir).unwrap(),
+    );
+    let meter_before = backup.meter();
+
+    let err = en.sync_journal(&mut backup, &dir).unwrap_err();
+    assert!(matches!(err, HybridError::Journal(_)), "{err:?}");
+    assert_eq!(backup.meter(), meter_before, "the refusal touches no file");
+    let listing_after = (
+        backup
+            .read_dir(&VfsPath::parse("/backup").unwrap())
+            .unwrap(),
+        backup.read_dir(&dir).unwrap(),
+    );
+    assert_eq!(listing_after, listing_before);
+    assert!(listing_after.1.is_empty());
 }
 
 #[test]
