@@ -1,7 +1,7 @@
 //! The in-memory file system tree.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::blob::Blob;
 use crate::cost::{CostMeter, IoCostModel};
@@ -62,12 +62,86 @@ impl Node {
         }
     }
 
-    fn total_bytes(&self) -> u64 {
+    /// The counts of this node and everything beneath it.
+    fn totals(&self) -> Totals {
         match self {
-            Node::File { content, .. } => content.len() as u64,
-            Node::Dir { children, .. } => children.values().map(Node::total_bytes).sum(),
+            Node::File { content, .. } => Totals {
+                dirs: 0,
+                files: 1,
+                bytes: content.len() as u64,
+            },
+            Node::Dir { children, .. } => children.values().fold(
+                Totals {
+                    dirs: 1,
+                    files: 0,
+                    bytes: 0,
+                },
+                |acc, child| acc.plus(child.totals()),
+            ),
         }
     }
+
+    /// Calls `f` with the path of this node (at `at`) and of every
+    /// node beneath it.
+    fn visit(&self, at: &VfsPath, f: &mut impl FnMut(&VfsPath)) {
+        f(at);
+        if let Node::Dir { children, .. } = self {
+            for (name, child) in children {
+                child.visit(&at.join(name).expect("existing entry name is valid"), f);
+            }
+        }
+    }
+}
+
+/// Node counts below the root: what a whole-tree walk visits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Totals {
+    /// Directories, the root excluded.
+    dirs: u64,
+    files: u64,
+    /// Content bytes over all files.
+    bytes: u64,
+}
+
+impl Totals {
+    fn plus(self, other: Totals) -> Totals {
+        Totals {
+            dirs: self.dirs + other.dirs,
+            files: self.files + other.files,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+
+    fn minus(self, other: Totals) -> Totals {
+        Totals {
+            dirs: self.dirs - other.dirs,
+            files: self.files - other.files,
+            bytes: self.bytes - other.bytes,
+        }
+    }
+}
+
+/// One path a mutation touched since [`Vfs::track_changes`], as
+/// reported by [`Vfs::changes`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Change {
+    /// The node at this path (with its subtree) was removed or moved
+    /// away at some point; whatever is there now is reported
+    /// separately.
+    Removed(VfsPath),
+    /// A directory that exists now and was created since tracking
+    /// began.
+    Dir(VfsPath),
+    /// A file that exists now and was created or rewritten since
+    /// tracking began, with its current content.
+    File(VfsPath, Blob),
+}
+
+/// The paths mutations touched since [`Vfs::track_changes`].
+#[derive(Debug, Clone, Default)]
+struct Changes {
+    removed: BTreeSet<VfsPath>,
+    touched: BTreeSet<VfsPath>,
 }
 
 /// An in-memory UNIX-like file system with deterministic I/O costs.
@@ -112,6 +186,12 @@ pub struct Vfs {
     /// hooks must advance the plan's counters through `&self` (the
     /// meter already set that precedent with its `Cell`).
     faults: RefCell<Option<FaultPlan>>,
+    /// Node counts below the root, kept current by every mutation so
+    /// [`Vfs::charge_walk`] costs O(1).
+    totals: Totals,
+    /// Paths touched since [`Vfs::track_changes`]; `None` while nobody
+    /// asked, so an untracked file system pays nothing for it.
+    changes: Option<Changes>,
 }
 
 impl Default for Vfs {
@@ -137,6 +217,8 @@ impl Vfs {
             meter: Cell::new(CostMeter::new()),
             clock: 0,
             faults: RefCell::new(None),
+            totals: Totals::default(),
+            changes: None,
         }
     }
 
@@ -196,6 +278,77 @@ impl Vfs {
         self.clock = clock;
     }
 
+    /// Charges the meter exactly what a pre-order walk of the whole
+    /// tree charges — one `read_dir` per directory, one `metadata` per
+    /// entry, one `read` per file — without walking: the node counts
+    /// it needs are kept current by every mutation, so this is O(1).
+    /// An armed [`FaultPlan`] sees no reads.
+    pub fn charge_walk(&self) {
+        let Totals { dirs, files, bytes } = self.totals;
+        let metadata_ops = 1 + 2 * dirs + files;
+        self.charge(|m, model| {
+            m.ticks = m
+                .ticks
+                .saturating_add(model.metadata_op.saturating_mul(metadata_ops))
+                .saturating_add(model.seek.saturating_mul(files))
+                .saturating_add(model.read_byte.saturating_mul(bytes));
+            m.metadata_ops += metadata_ops;
+            m.bytes_read = m.bytes_read.saturating_add(bytes);
+            m.content_ops += files;
+        });
+    }
+
+    /// Starts recording which paths mutations touch, forgetting
+    /// whatever an earlier call recorded. [`Vfs::changes`] reports
+    /// them; calling this again after reading them starts the next
+    /// window.
+    pub fn track_changes(&mut self) {
+        self.changes = Some(Changes::default());
+    }
+
+    /// What changed since [`Vfs::track_changes`] — `None` when nothing
+    /// is being tracked. Every removed path comes first, deepest
+    /// first; then every touched path that exists now, parents before
+    /// children, with the current content of files. Applying the
+    /// records in order (remove whatever node a [`Change::Removed`]
+    /// names, then create each directory and write each file) to the
+    /// tree as it was when tracking began reproduces the current tree.
+    /// Charges nothing: the cost is the number of paths touched, not
+    /// the size of the tree.
+    pub fn changes(&self) -> Option<Vec<Change>> {
+        let changes = self.changes.as_ref()?;
+        let mut out: Vec<Change> = changes
+            .removed
+            .iter()
+            .rev()
+            .map(|path| Change::Removed(path.clone()))
+            .collect();
+        for path in &changes.touched {
+            match self.lookup(path) {
+                Ok(Node::Dir { .. }) => out.push(Change::Dir(path.clone())),
+                Ok(Node::File { content, .. }) => {
+                    out.push(Change::File(path.clone(), content.clone()))
+                }
+                Err(_) => {}
+            }
+        }
+        Some(out)
+    }
+
+    fn touched(&mut self, path: &VfsPath) {
+        if let Some(changes) = &mut self.changes {
+            if !changes.touched.contains(path) {
+                changes.touched.insert(path.clone());
+            }
+        }
+    }
+
+    fn removed(&mut self, path: &VfsPath) {
+        if let Some(changes) = &mut self.changes {
+            changes.removed.insert(path.clone());
+        }
+    }
+
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -249,6 +402,15 @@ impl Vfs {
         self.lookup(path).is_ok()
     }
 
+    /// Returns `true` if `path` is a file holding exactly `content`.
+    /// Like [`Vfs::exists`], a look at the tree rather than a modeled
+    /// read: it charges nothing and no armed [`FaultPlan`] sees it. A
+    /// writer uses it to check that a file it committed is still the
+    /// one on this disk.
+    pub fn holds(&self, path: &VfsPath, content: &[u8]) -> bool {
+        matches!(self.lookup(path), Ok(Node::File { content: c, .. }) if c.as_slice() == content)
+    }
+
     /// Returns metadata for the node at `path`.
     ///
     /// # Errors
@@ -290,6 +452,8 @@ impl Vfs {
                 mtime,
             },
         );
+        self.totals.dirs += 1;
+        self.touched(path);
         Ok(())
     }
 
@@ -407,21 +571,26 @@ impl Vfs {
         let mtime = self.tick();
         let parent = path.parent().expect("non-root path has a parent");
         let children = self.lookup_dir_mut(&parent)?;
+        let len = content.len() as u64;
         match children.get_mut(&name) {
-            Some(Node::Dir { .. }) => Err(VfsError::IsADirectory(path.clone())),
+            Some(Node::Dir { .. }) => return Err(VfsError::IsADirectory(path.clone())),
             Some(Node::File {
                 content: existing,
                 mtime: m,
             }) => {
+                let old = existing.len() as u64;
                 *existing = content;
                 *m = mtime;
-                Ok(())
+                self.totals.bytes = self.totals.bytes - old + len;
             }
             None => {
                 children.insert(name, Node::File { content, mtime });
-                Ok(())
+                self.totals.files += 1;
+                self.totals.bytes += len;
             }
         }
+        self.touched(path);
+        Ok(())
     }
 
     /// The resolution + extension half of [`Vfs::append`].
@@ -434,18 +603,20 @@ impl Vfs {
         let parent = path.parent().expect("non-root path has a parent");
         let children = self.lookup_dir_mut(&parent)?;
         match children.get_mut(&name) {
-            Some(Node::Dir { .. }) => Err(VfsError::IsADirectory(path.clone())),
+            Some(Node::Dir { .. }) => return Err(VfsError::IsADirectory(path.clone())),
             Some(Node::File { content, mtime: m }) => {
                 content.append(bytes);
                 *m = mtime;
-                Ok(())
             }
             None => {
                 let content = Blob::from(bytes.to_vec());
                 children.insert(name, Node::File { content, mtime });
-                Ok(())
+                self.totals.files += 1;
             }
         }
+        self.totals.bytes += bytes.len() as u64;
+        self.touched(path);
+        Ok(())
     }
 
     /// Reads the full content of the file at `path`.
@@ -506,7 +677,9 @@ impl Vfs {
         let children = self.lookup_dir_mut(&parent)?;
         match children.get(&name) {
             Some(Node::File { .. }) => {
-                children.remove(&name);
+                let gone = children.remove(&name).expect("matched above").totals();
+                self.totals = self.totals.minus(gone);
+                self.removed(path);
                 Ok(())
             }
             Some(Node::Dir { .. }) => Err(VfsError::IsADirectory(path.clone())),
@@ -533,6 +706,8 @@ impl Vfs {
                 children: grand, ..
             }) if grand.is_empty() => {
                 children.remove(&name);
+                self.totals.dirs -= 1;
+                self.removed(path);
                 Ok(())
             }
             Some(Node::Dir { .. }) => Err(VfsError::DirectoryNotEmpty(path.clone())),
@@ -555,9 +730,12 @@ impl Vfs {
             .to_owned();
         let parent = path.parent().expect("non-root path has a parent");
         let children = self.lookup_dir_mut(&parent)?;
-        if children.remove(&name).is_none() {
-            return Err(VfsError::NotFound(path.clone()));
-        }
+        let gone = children
+            .remove(&name)
+            .ok_or_else(|| VfsError::NotFound(path.clone()))?
+            .totals();
+        self.totals = self.totals.minus(gone);
+        self.removed(path);
         Ok(())
     }
 
@@ -609,7 +787,20 @@ impl Vfs {
         let dst_parent = dest.parent().expect("non-root path has a parent");
         match self.lookup_dir_mut(&dst_parent) {
             Ok(children) => {
-                children.insert(dst_name, node);
+                let replaced = children.insert(dst_name, node);
+                if let Some(replaced) = replaced {
+                    self.totals = self.totals.minus(replaced.totals());
+                }
+                if self.changes.is_some() {
+                    self.removed(source);
+                    let mut moved = Vec::new();
+                    self.lookup(dest)
+                        .expect("attached a moment ago")
+                        .visit(dest, &mut |p| moved.push(p.clone()));
+                    for p in &moved {
+                        self.touched(p);
+                    }
+                }
                 Ok(())
             }
             Err(e) => {
@@ -678,7 +869,7 @@ impl Vfs {
     /// Returns [`VfsError::NotFound`] if the path does not exist.
     pub fn tree_size(&self, path: &VfsPath) -> VfsResult<u64> {
         self.charge(|m, model| m.charge_metadata(model));
-        Ok(self.lookup(path)?.total_bytes())
+        Ok(self.lookup(path)?.totals().bytes)
     }
 
     /// Returns the paths of all files under `path` (depth-first, sorted).
@@ -712,6 +903,21 @@ mod tests {
 
     fn p(s: &str) -> VfsPath {
         VfsPath::parse(s).unwrap()
+    }
+
+    #[test]
+    fn holds_compares_content_without_charging_or_faulting() {
+        let mut fs = Vfs::new();
+        fs.mkdir(&p("/d")).unwrap();
+        fs.write(&p("/d/f"), b"abc".to_vec()).unwrap();
+        fs.arm_faults(FaultPlan::new(1).fail_read(1));
+        let before = fs.meter();
+        assert!(fs.holds(&p("/d/f"), b"abc"));
+        assert!(!fs.holds(&p("/d/f"), b"ab"));
+        assert!(!fs.holds(&p("/d"), b""));
+        assert!(!fs.holds(&p("/d/g"), b"abc"));
+        assert_eq!(fs.meter(), before);
+        assert_eq!(fs.fault_stats().unwrap().reads_seen, 0);
     }
 
     #[test]

@@ -48,6 +48,6 @@ pub use blob::Blob;
 pub use cost::{CostMeter, IoCostModel};
 pub use error::{VfsError, VfsResult};
 pub use fault::{FaultPlan, FaultStats};
-pub use fs::{Metadata, NodeKind, Vfs};
+pub use fs::{Change, Metadata, NodeKind, Vfs};
 pub use path::VfsPath;
 pub use rng::SplitMix64;

@@ -266,3 +266,122 @@ fn appends_outside_the_fault_scope_are_not_counted() {
     let stats = fs.fault_stats().unwrap();
     assert_eq!((stats.writes_seen, stats.faults_fired), (1, 1));
 }
+
+/// A path over a three-letter alphabet, one to three levels deep, so
+/// random ops keep hitting each other's files and directories.
+fn small_path(rng: &mut SplitMix64) -> VfsPath {
+    let mut path = VfsPath::root();
+    for _ in 0..1 + rng.below(3) {
+        path = path.join(["a", "b", "c"][rng.below(3)]).unwrap();
+    }
+    path
+}
+
+/// One random mutation; most fail on some trees, which is fine.
+fn mutate(fs: &mut Vfs, rng: &mut SplitMix64) {
+    let path = small_path(rng);
+    let _ = match rng.below(8) {
+        0 => fs.mkdir_all(&path),
+        1 | 2 => {
+            if let Some(parent) = path.parent() {
+                let _ = fs.mkdir_all(&parent);
+            }
+            fs.write(&path, chunk(rng))
+        }
+        3 => fs.append(&path, &chunk(rng)),
+        4 => fs.remove_file(&path),
+        5 => fs.remove_dir(&path),
+        6 => fs.remove_all(&path),
+        _ => fs.rename(&path, &small_path(rng)),
+    };
+}
+
+/// Every directory and every file with its content, in walk order.
+fn tree(fs: &Vfs) -> Vec<(String, Option<Vec<u8>>)> {
+    fn collect(fs: &Vfs, at: &VfsPath, out: &mut Vec<(String, Option<Vec<u8>>)>) {
+        for name in fs.read_dir(at).unwrap() {
+            let child = at.join(&name).unwrap();
+            match fs.read(&child) {
+                Ok(data) => out.push((child.to_string(), Some(data.as_slice().to_vec()))),
+                Err(_) => {
+                    out.push((child.to_string(), None));
+                    collect(fs, &child, out);
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    collect(fs, &VfsPath::root(), &mut out);
+    out
+}
+
+/// The reported changes, applied in order to the tree as it was when
+/// the window began, reproduce the tree as it is now — window after
+/// window.
+#[test]
+fn tracked_changes_replay_onto_the_window_start() {
+    use cad_vfs::Change;
+    for seed in 0..40 {
+        let mut rng = SplitMix64::new(0xC4A7_0000 + seed);
+        let mut fs = Vfs::new();
+        assert!(fs.changes().is_none(), "untracked by default");
+        for _ in 0..20 {
+            mutate(&mut fs, &mut rng);
+        }
+        for window in 0..4 {
+            fs.track_changes();
+            let mut replica = fs.clone();
+            for _ in 0..rng.below(30) {
+                mutate(&mut fs, &mut rng);
+            }
+            for change in fs.changes().expect("tracking") {
+                match change {
+                    Change::Removed(path) => {
+                        if replica.exists(&path) {
+                            replica.remove_all(&path).unwrap();
+                        }
+                    }
+                    Change::Dir(path) => replica.mkdir_all(&path).unwrap(),
+                    Change::File(path, data) => {
+                        replica.mkdir_all(&path.parent().unwrap()).unwrap();
+                        replica.write(&path, data).unwrap();
+                    }
+                }
+            }
+            assert_eq!(tree(&replica), tree(&fs), "seed {seed} window {window}");
+        }
+    }
+}
+
+/// `charge_walk` charges exactly what a pre-order walk of the tree
+/// (`read_dir` per directory, `metadata` per entry, `read` per file)
+/// charges, whatever mutations built the tree.
+#[test]
+fn charge_walk_costs_what_a_whole_tree_walk_costs() {
+    fn walk(fs: &Vfs, at: &VfsPath) {
+        for name in fs.read_dir(at).unwrap() {
+            let child = at.join(&name).unwrap();
+            if fs.metadata(&child).unwrap().kind == cad_vfs::NodeKind::Directory {
+                walk(fs, &child);
+            } else {
+                fs.read(&child).unwrap();
+            }
+        }
+    }
+    for seed in 0..40 {
+        let mut rng = SplitMix64::new(0x3A1C_0000 + seed);
+        let mut fs = Vfs::new();
+        for step in 0..60 {
+            mutate(&mut fs, &mut rng);
+            if step % 10 == 0 {
+                let _ = fs.copy_tree(&small_path(&mut rng), &small_path(&mut rng));
+            }
+            let before = fs.meter();
+            walk(&fs, &VfsPath::root());
+            let walked = fs.meter().since(&before);
+            let before = fs.meter();
+            fs.charge_walk();
+            assert_eq!(fs.meter().since(&before), walked, "seed {seed} step {step}");
+        }
+    }
+}

@@ -9,25 +9,7 @@
 use cad_tools::ToolKind;
 use cad_vfs::Blob;
 
-/// Lower-case hex of a byte string.
-pub(crate) fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-/// Decodes lower/upper-case hex; `None` on odd length or bad digits.
-pub(crate) fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
-}
+pub(crate) use oms::persist::{hex, unhex};
 
 /// Hex-armours a string field.
 pub(crate) fn enc_str(s: &str) -> String {

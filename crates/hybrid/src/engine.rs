@@ -18,21 +18,26 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
+use std::sync::Arc;
 
 use cad_tools::ToolKind;
-use cad_vfs::{Blob, CostMeter, NodeKind, Vfs, VfsError, VfsPath};
+use cad_vfs::{Blob, Change, CostMeter, NodeKind, Vfs, VfsError, VfsPath};
 use fmcad::Fmcad;
 use jcf::{
     ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
     Jcf, ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
 };
+use oms::{DiffEntry, PMap, PmapKey};
 
 use crate::codec::{hex, unhex};
 use crate::consistency::ConsistencyFinding;
 use crate::encapsulation::{ToolOutput, ToolSession};
 use crate::error::{HybridError, HybridResult};
 use crate::events::{CounterSink, Event, EventSink, JournalEntry, MergeConflict, TraceSink};
-use crate::framework::{Hybrid, MirrorLocation, StagingMode, StandardFlow, BOOTSTRAP_SCRIPT};
+use crate::framework::{
+    Hybrid, MirrorCache, MirrorKey, MirrorLocation, Mirrored, StagingMode, StandardFlow,
+    BOOTSTRAP_SCRIPT,
+};
 use crate::future::FutureFeatures;
 use crate::import::ImportReport;
 use crate::ops::Op;
@@ -50,8 +55,12 @@ const HYBRID_META: &str = "hybrid.meta";
 
 /// Magic first line of the checkpoint-chain manifest ([`CK_MANIFEST`]).
 const CK_MAGIC: &str = "hybrid-ck v1";
-/// Magic first line of a combined delta-checkpoint file (`delta-<k>.ck`).
-const DELTA_MAGIC: &str = "hybrid-delta v1";
+/// Magic first line of a combined delta-checkpoint file (`delta-<k>.ck`):
+/// its `m|` lines are meta *records* folded over the chain-head meta.
+const DELTA_MAGIC: &str = "hybrid-delta v2";
+/// Magic first line of a delta written before meta records: its `m|`
+/// lines are the whole meta text. Still read, never written.
+const DELTA_MAGIC_V1: &str = "hybrid-delta v1";
 /// The chain manifest: renaming its staged replacement into place is
 /// the commit point of every delta checkpoint.
 const CK_MANIFEST: &str = "ck.manifest";
@@ -1375,9 +1384,8 @@ enum ScanEntry {
 /// Walks the whole tree once, in the exact order (and with the exact
 /// meter charges) the classic full-image walk used: `read_dir` per
 /// directory, `metadata` per child, `read` per file, sorted names.
-/// Every consumer of the walk (full image, delta diff, chain-head
-/// summary) derives from this one pass so checkpointing never charges
-/// a second walk.
+/// Only a base checkpoint walks; a delta charges the same amount
+/// through [`Vfs::charge_walk`].
 fn fs_scan(fs: &Vfs) -> HybridResult<Vec<ScanEntry>> {
     fn collect(fs: &Vfs, path: &VfsPath, out: &mut Vec<ScanEntry>) -> HybridResult<()> {
         for name in fs.read_dir(path)? {
@@ -1400,69 +1408,25 @@ fn fs_scan(fs: &Vfs) -> HybridResult<Vec<ScanEntry>> {
     Ok(out)
 }
 
-/// Reduces a scan to the summary a delta checkpoint diffs against:
-/// the directory set and each file's content hash.
-fn scan_summary(scan: &[ScanEntry]) -> (std::collections::BTreeSet<String>, BTreeMap<String, u64>) {
-    let mut dirs = std::collections::BTreeSet::new();
-    let mut files = BTreeMap::new();
-    for entry in scan {
-        match entry {
-            ScanEntry::Dir(path) => {
-                dirs.insert(path.clone());
+/// Appends the file-system section of a delta checkpoint: one record
+/// per path the tree's change window saw ([`Vfs::changes`]), then the
+/// clock and meter. Removals come first and remove whatever node the
+/// path names; creations follow, parents first. Reads nothing, so it
+/// charges nothing.
+fn fs_delta_section(changes: &[Change], clock: u64, meter: &CostMeter, out: &mut String) {
+    for change in changes {
+        match change {
+            Change::Removed(path) => {
+                out.push_str(&format!("f|del {}\n", hex(path.to_string().as_bytes())));
             }
-            ScanEntry::File(path, blob) => {
-                files.insert(path.clone(), blob.content_hash());
+            Change::Dir(path) => {
+                out.push_str(&format!("f|dir+ {}\n", hex(path.to_string().as_bytes())));
             }
-        }
-    }
-    (dirs, files)
-}
-
-/// Appends the file-system section of a delta checkpoint: the records
-/// that turn the chain-head tree (`prev_dirs` / `prev_files` hashes)
-/// into the scanned live tree, then the live clock and meter. The
-/// caller must read the meter *after* the scan so a recovered engine
-/// resumes with exactly the charges the checkpoint walk left behind.
-fn fs_delta_section(
-    scan: &[ScanEntry],
-    prev_dirs: &std::collections::BTreeSet<String>,
-    prev_files: &BTreeMap<String, u64>,
-    clock: u64,
-    meter: &CostMeter,
-    out: &mut String,
-) {
-    let (cur_dirs, _) = scan_summary(scan);
-    let mut cur_file_set = std::collections::BTreeSet::new();
-    for entry in scan {
-        if let ScanEntry::File(path, _) = entry {
-            cur_file_set.insert(path.clone());
-        }
-    }
-    for path in prev_files.keys().filter(|p| !cur_file_set.contains(*p)) {
-        out.push_str(&format!("f|del {}\n", hex(path.as_bytes())));
-    }
-    // Deepest-first so a child directory's record never follows the
-    // removal of its parent.
-    for path in prev_dirs
-        .difference(&cur_dirs)
-        .collect::<Vec<_>>()
-        .iter()
-        .rev()
-    {
-        out.push_str(&format!("f|dir- {}\n", hex(path.as_bytes())));
-    }
-    for path in cur_dirs.difference(prev_dirs) {
-        out.push_str(&format!("f|dir+ {}\n", hex(path.as_bytes())));
-    }
-    for entry in scan {
-        if let ScanEntry::File(path, blob) = entry {
-            if prev_files.get(path) != Some(&blob.content_hash()) {
-                out.push_str(&format!(
-                    "f|file {} {}\n",
-                    hex(path.as_bytes()),
-                    hex(blob.as_slice())
-                ));
-            }
+            Change::File(path, blob) => out.push_str(&format!(
+                "f|file {} {}\n",
+                hex(path.to_string().as_bytes()),
+                hex(blob.as_slice())
+            )),
         }
     }
     out.push_str(&format!("f|clock {clock}\n"));
@@ -1481,10 +1445,13 @@ fn apply_fs_delta(fs: &mut Vfs, records: &[String]) -> HybridResult<(u64, CostMe
     for line in records {
         let (tag, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
         match tag {
+            // Removes whatever node is there. v1 deltas named only
+            // files; a v2 delta names every path its change window saw
+            // removed, directories included.
             "del" => {
                 let path = VfsPath::parse(&unhex_str(rest)?)?;
                 if fs.exists(&path) {
-                    fs.remove_file(&path)?;
+                    fs.remove_all(&path)?;
                 }
             }
             "dir-" => {
@@ -1528,6 +1495,14 @@ fn apply_fs_delta(fs: &mut Vfs, records: &[String]) -> HybridResult<(u64, CostMe
             "delta checkpoint is missing its clock/meter record".to_owned(),
         )),
     }
+}
+
+/// The meta section of a delta checkpoint.
+enum DeltaMeta {
+    /// A v1 delta: the whole `hybrid.meta` text.
+    Whole(String),
+    /// Records to fold over the chain-head meta ([`fold_meta`]).
+    Records(String),
 }
 
 /// One delta checkpoint in the manifest.
@@ -1748,28 +1723,41 @@ fn parse_segment(fs: &Vfs, path: &VfsPath) -> HybridResult<Segment> {
     })
 }
 
-/// The engine's in-memory mirror of its persisted chain. `prev_*`
-/// capture the state at the chain head — the baseline the next delta
-/// checkpoint diffs against, kept as O(1) persistent snapshots and a
-/// hash summary rather than a second copy of the data.
+/// The engine's in-memory mirror of its persisted chain: where it
+/// lives, its manifest, and the chain-head state the next delta
+/// checkpoint diffs against.
 struct DurableState {
     /// Checkpoint directory the chain lives in; checkpointing to a
     /// different directory starts a fresh chain with a full base.
     dir: VfsPath,
-    /// OMS database snapshot at the chain head.
-    prev_db: oms::Database,
-    /// Directory set of the shared file system at the chain head.
-    prev_dirs: std::collections::BTreeSet<String>,
-    /// File content hashes of the shared file system at the chain head.
-    prev_files: BTreeMap<String, u64>,
+    head: ChainHead,
     /// Mirror of the on-disk `ck.manifest`.
     manifest: Manifest,
+    /// The `ck.manifest` text this engine last committed to (or
+    /// recovered from) `dir`. The chain is extended only on a disk that
+    /// still holds exactly this text ([`Engine::chain_in`]).
+    on_disk: String,
     /// Highest sequence number persisted into a *sealed* segment or
     /// covered by a delta checkpoint; journal entries past this point
     /// live only in the open segment (or nowhere, if not yet synced).
     closed_upto: u64,
     /// Next delta checkpoint id (monotonic, never reused).
     next_delta: u64,
+}
+
+/// The persistent state at the chain head, as O(1) clones of the live
+/// persistent maps: a delta checkpoint diffs the live maps against
+/// these roots in O(changes). The FMCAD tree and the mirror cache need
+/// no copy — they record their own changes since the head
+/// ([`Vfs::track_changes`], [`MirrorCache::track_changes`]) — and the
+/// trace ring needs none either: its entries past the head's seq are
+/// the new ones.
+struct ChainHead {
+    db: oms::Database,
+    project_lib: PMap<ProjectId, Arc<str>>,
+    cv_cell: PMap<CellVersionId, Arc<str>>,
+    viewtype_names: PMap<ViewTypeId, Arc<str>>,
+    dov_mirror: PMap<DovId, Arc<MirrorLocation>>,
 }
 
 /// A parsed, reusable base checkpoint. Recovering many times from one
@@ -1781,7 +1769,7 @@ pub struct BaseImage {
     fs: Vfs,
     meter: CostMeter,
     clock: u64,
-    meta_text: String,
+    meta: MetaState,
     seq: u64,
     fp: u64,
 }
@@ -1794,6 +1782,7 @@ impl BaseImage {
 }
 
 /// Everything `hybrid.meta` records besides the two framework images.
+#[derive(Clone)]
 struct MetaState {
     admin: UserId,
     desktop_ops: u64,
@@ -1809,127 +1798,286 @@ struct MetaState {
     viewtype_apps: BTreeMap<String, ToolKind>,
     tool_kinds: BTreeMap<ToolId, ToolKind>,
     dov_mirror: BTreeMap<DovId, MirrorLocation>,
-    mirror_cache: BTreeMap<(String, String, String), (u64, u32)>,
+    mirror_cache: BTreeMap<MirrorKey, Mirrored>,
     trace_capacity: usize,
     trace: Vec<JournalEntry>,
     counter_ops: BTreeMap<String, u64>,
     counter_failures: BTreeMap<String, u64>,
 }
 
+// One renderer per meta line kind, shared by the full meta text and
+// the delta records so the two grammars cannot drift apart.
+
+fn meta_project_lib(out: &mut String, project: ProjectId, lib: &str) {
+    out.push_str(&format!(
+        "project-lib {} {}\n",
+        project.raw(),
+        hex(lib.as_bytes())
+    ));
+}
+
+fn meta_cv_cell(out: &mut String, cv: CellVersionId, cell: &str) {
+    out.push_str(&format!("cv-cell {} {}\n", cv.raw(), hex(cell.as_bytes())));
+}
+
+fn meta_viewtype(out: &mut String, id: ViewTypeId, name: &str) {
+    out.push_str(&format!("viewtype {} {}\n", id.raw(), hex(name.as_bytes())));
+}
+
+fn meta_dov_mirror(out: &mut String, dov: DovId, loc: &MirrorLocation) {
+    out.push_str(&format!(
+        "dov-mirror {} {} {} {} {}\n",
+        dov.raw(),
+        hex(loc.library.as_bytes()),
+        hex(loc.cell.as_bytes()),
+        hex(loc.view.as_bytes()),
+        loc.version
+    ));
+}
+
+fn meta_mirror_cache(out: &mut String, (lib, cell, view): &MirrorKey, (hash, version): Mirrored) {
+    out.push_str(&format!(
+        "mirror-cache {} {} {} {} {}\n",
+        hex(lib.as_bytes()),
+        hex(cell.as_bytes()),
+        hex(view.as_bytes()),
+        hash,
+        version
+    ));
+}
+
+fn meta_trace(out: &mut String, entry: &JournalEntry) {
+    out.push_str(&format!(
+        "trace {} {} {} {} {}\n",
+        entry.seq,
+        entry.ok,
+        hex(entry.kind.as_bytes()),
+        hex(entry.summary.as_bytes()),
+        hex(entry.outcome.as_bytes())
+    ));
+}
+
+/// Renders the records that turn persistent map `head` into `live`:
+/// the current line of every added or changed key, `<tag>- <key>` for
+/// every removed one.
+fn meta_diff<K: PmapKey, V: Clone + PartialEq>(
+    out: &mut String,
+    tag: &str,
+    head: &PMap<K, V>,
+    live: &PMap<K, V>,
+    line: impl Fn(&mut String, K, &V),
+) {
+    for entry in head.diff(live) {
+        match entry {
+            DiffEntry::Added(key, value) | DiffEntry::Updated(key, value) => line(out, key, &value),
+            DiffEntry::Removed(key) => out.push_str(&format!("{tag}- {}\n", key.to_bits())),
+        }
+    }
+}
+
 impl Engine {
-    fn meta_text(&self) -> String {
+    /// The scalar meta lines, in `hybrid.meta` order.
+    fn meta_scalars(&self, out: &mut String) {
         let hy = &self.hy;
-        let mut text = format!("{META_MAGIC}\n");
-        text.push_str(&format!("admin {}\n", hy.admin.raw()));
-        text.push_str(&format!("desktop-ops {}\n", hy.jcf.desktop_ops()));
-        text.push_str(&format!("clock {}\n", hy.jcf.clock()));
-        text.push_str(&format!("fmcad-ui-ops {}\n", hy.fmcad_ui_ops));
-        text.push_str(&format!(
+        out.push_str(&format!("admin {}\n", hy.admin.raw()));
+        out.push_str(&format!("desktop-ops {}\n", hy.jcf.desktop_ops()));
+        out.push_str(&format!("clock {}\n", hy.jcf.clock()));
+        out.push_str(&format!("fmcad-ui-ops {}\n", hy.fmcad_ui_ops));
+        out.push_str(&format!(
             "staging {}\n",
             match hy.staging_mode {
                 StagingMode::ZeroCopy => "zero",
                 StagingMode::DeepCopy => "deep",
             }
         ));
-        text.push_str(&format!(
+        out.push_str(&format!(
             "features {} {} {}\n",
             hy.features.procedural_interface,
             hy.features.non_isomorphic_hierarchies,
             hy.features.cross_project_sharing
         ));
-        text.push_str(&format!("seq {}\n", self.seq));
-        text.push_str(&format!("mirror-hits {}\n", hy.mirror_cache_hits));
-        for (project, lib) in &hy.project_lib {
-            text.push_str(&format!(
-                "project-lib {} {}\n",
-                project.raw(),
-                hex(lib.as_bytes())
-            ));
-        }
-        for (cv, cell) in &hy.cv_cell {
-            text.push_str(&format!("cv-cell {} {}\n", cv.raw(), hex(cell.as_bytes())));
-        }
-        for (id, name) in &hy.viewtype_names {
-            text.push_str(&format!("viewtype {} {}\n", id.raw(), hex(name.as_bytes())));
-        }
-        for (name, kind) in &hy.viewtype_apps {
-            text.push_str(&format!(
+        out.push_str(&format!("seq {}\n", self.seq));
+        out.push_str(&format!("mirror-hits {}\n", hy.mirror_cache_hits));
+    }
+
+    /// The viewtype-application and tool registries, written whole by
+    /// the full text and by every delta (a handful of lines each).
+    fn meta_registries(&self, out: &mut String) {
+        for (name, kind) in &self.hy.viewtype_apps {
+            out.push_str(&format!(
                 "viewtype-app {} {}\n",
                 hex(name.as_bytes()),
                 kind_str(*kind)
             ));
         }
-        for (id, kind) in &hy.tool_kinds {
-            text.push_str(&format!("tool {} {}\n", id.raw(), kind_str(*kind)));
+        for (id, kind) in &self.hy.tool_kinds {
+            out.push_str(&format!("tool {} {}\n", id.raw(), kind_str(*kind)));
         }
+    }
+
+    /// The op and failure counters, written whole like the registries.
+    fn meta_counters(&self, out: &mut String) {
+        for (kind, count) in self.counters.ops() {
+            out.push_str(&format!("counter-op {} {count}\n", hex(kind.as_bytes())));
+        }
+        for (kind, count) in self.counters.failures() {
+            out.push_str(&format!("counter-err {} {count}\n", hex(kind.as_bytes())));
+        }
+    }
+
+    /// The whole coupling meta: `hybrid.meta` of a base checkpoint.
+    fn meta_text(&self) -> String {
+        let hy = &self.hy;
+        let mut text = format!("{META_MAGIC}\n");
+        self.meta_scalars(&mut text);
+        for (project, lib) in &hy.project_lib {
+            meta_project_lib(&mut text, project, lib);
+        }
+        for (cv, cell) in &hy.cv_cell {
+            meta_cv_cell(&mut text, cv, cell);
+        }
+        for (id, name) in &hy.viewtype_names {
+            meta_viewtype(&mut text, id, name);
+        }
+        self.meta_registries(&mut text);
         for (dov, loc) in &hy.dov_mirror {
-            text.push_str(&format!(
-                "dov-mirror {} {} {} {} {}\n",
-                dov.raw(),
-                hex(loc.library.as_bytes()),
-                hex(loc.cell.as_bytes()),
-                hex(loc.view.as_bytes()),
-                loc.version
-            ));
+            meta_dov_mirror(&mut text, dov, loc);
         }
-        for ((lib, cell, view), (hash, version)) in &hy.mirror_cache {
-            text.push_str(&format!(
-                "mirror-cache {} {} {} {} {}\n",
-                hex(lib.as_bytes()),
-                hex(cell.as_bytes()),
-                hex(view.as_bytes()),
-                hash,
-                version
-            ));
+        for (key, value) in hy.mirror_cache.iter() {
+            meta_mirror_cache(&mut text, key, *value);
         }
         text.push_str(&format!("trace-cap {}\n", self.trace.capacity()));
         for entry in self.trace.entries() {
-            text.push_str(&format!(
-                "trace {} {} {} {} {}\n",
-                entry.seq,
-                entry.ok,
-                hex(entry.kind.as_bytes()),
-                hex(entry.summary.as_bytes()),
-                hex(entry.outcome.as_bytes())
-            ));
+            meta_trace(&mut text, entry);
         }
-        for (kind, count) in self.counters.ops() {
-            text.push_str(&format!("counter-op {} {count}\n", hex(kind.as_bytes())));
-        }
-        for (kind, count) in self.counters.failures() {
-            text.push_str(&format!("counter-err {} {count}\n", hex(kind.as_bytes())));
-        }
+        self.meta_counters(&mut text);
         text
+    }
+
+    /// The meta records of a delta checkpoint: what changed since the
+    /// chain head `head` (at seq `head_seq`). Scalars, the small
+    /// registries and the counters are written whole; the coupling
+    /// maps as [`PMap::diff`] records; the mirror cache as its
+    /// recorded changes (a `mirror-cache-clear` first if it was
+    /// cleared); the trace ring as the entries appended since the
+    /// head. [`fold_meta`] applies them.
+    fn meta_delta(&self, head: &ChainHead, head_seq: u64) -> String {
+        let hy = &self.hy;
+        let mut out = String::new();
+        self.meta_scalars(&mut out);
+        meta_diff(
+            &mut out,
+            "project-lib",
+            &head.project_lib,
+            &hy.project_lib,
+            |o, k, v| meta_project_lib(o, k, v),
+        );
+        meta_diff(
+            &mut out,
+            "cv-cell",
+            &head.cv_cell,
+            &hy.cv_cell,
+            |o, k, v| meta_cv_cell(o, k, v),
+        );
+        meta_diff(
+            &mut out,
+            "viewtype",
+            &head.viewtype_names,
+            &hy.viewtype_names,
+            |o, k, v| meta_viewtype(o, k, v),
+        );
+        self.meta_registries(&mut out);
+        meta_diff(
+            &mut out,
+            "dov-mirror",
+            &head.dov_mirror,
+            &hy.dov_mirror,
+            |o, k, v| meta_dov_mirror(o, k, v),
+        );
+        let (cleared, inserted) = hy
+            .mirror_cache
+            .changes()
+            .expect("a chain head tracks the mirror cache");
+        if cleared {
+            out.push_str("mirror-cache-clear\n");
+        }
+        for (key, value) in inserted {
+            meta_mirror_cache(&mut out, key, *value);
+        }
+        out.push_str(&format!("trace-cap {}\n", self.trace.capacity()));
+        for entry in self.trace.entries().filter(|e| e.seq > head_seq) {
+            meta_trace(&mut out, entry);
+        }
+        self.meta_counters(&mut out);
+        out
+    }
+
+    /// Captures the chain head the next delta diffs against and starts
+    /// a fresh change window on the FMCAD tree and the mirror cache.
+    /// Called once the state it captures is durable.
+    fn mark_chain_head(&mut self) -> ChainHead {
+        self.hy.fmcad.fs().track_changes();
+        self.hy.mirror_cache.track_changes();
+        let hy = &self.hy;
+        ChainHead {
+            db: hy.jcf.database().snapshot(),
+            project_lib: hy.project_lib.clone(),
+            cv_cell: hy.cv_cell.clone(),
+            viewtype_names: hy.viewtype_names.clone(),
+            dov_mirror: hy.dov_mirror.clone(),
+        }
     }
 }
 
+impl MetaState {
+    fn new() -> MetaState {
+        MetaState {
+            admin: UserId::from_raw(0),
+            desktop_ops: 0,
+            clock: 0,
+            fmcad_ui_ops: 0,
+            staging_mode: StagingMode::default(),
+            features: FutureFeatures::default(),
+            seq: 0,
+            mirror_cache_hits: 0,
+            project_lib: BTreeMap::new(),
+            cv_cell: BTreeMap::new(),
+            viewtype_names: BTreeMap::new(),
+            viewtype_apps: BTreeMap::new(),
+            tool_kinds: BTreeMap::new(),
+            dov_mirror: BTreeMap::new(),
+            mirror_cache: BTreeMap::new(),
+            trace_capacity: crate::events::TRACE_CAPACITY,
+            trace: Vec::new(),
+            counter_ops: BTreeMap::new(),
+            counter_failures: BTreeMap::new(),
+        }
+    }
+}
+
+/// Parses a whole `hybrid.meta` text: its records folded over an
+/// empty state.
 fn parse_meta(text: &str) -> HybridResult<MetaState> {
     let mut lines = text.lines();
     if lines.next() != Some(META_MAGIC) {
         return Err(HybridError::Journal("bad hybrid meta header".to_owned()));
     }
-    let mut meta = MetaState {
-        admin: UserId::from_raw(0),
-        desktop_ops: 0,
-        clock: 0,
-        fmcad_ui_ops: 0,
-        staging_mode: StagingMode::default(),
-        features: FutureFeatures::default(),
-        seq: 0,
-        mirror_cache_hits: 0,
-        project_lib: BTreeMap::new(),
-        cv_cell: BTreeMap::new(),
-        viewtype_names: BTreeMap::new(),
-        viewtype_apps: BTreeMap::new(),
-        tool_kinds: BTreeMap::new(),
-        dov_mirror: BTreeMap::new(),
-        mirror_cache: BTreeMap::new(),
-        trace_capacity: crate::events::TRACE_CAPACITY,
-        trace: Vec::new(),
-        counter_ops: BTreeMap::new(),
-        counter_failures: BTreeMap::new(),
-    };
+    let mut meta = MetaState::new();
+    fold_meta(&mut meta, lines)?;
+    Ok(meta)
+}
+
+/// Folds meta records into `meta`. A record sets a scalar, inserts or
+/// replaces a map entry, removes one (`<tag>- <key>`), clears the
+/// mirror cache (`mirror-cache-clear`) or appends a trace entry; the
+/// trace is cut back to its capacity at the end. A whole `hybrid.meta`
+/// is such a record list, and so is the `m|` section of a delta.
+fn fold_meta<'a>(meta: &mut MetaState, lines: impl Iterator<Item = &'a str>) -> HybridResult<()> {
     for line in lines {
+        if line == "mirror-cache-clear" {
+            meta.mirror_cache.clear();
+            continue;
+        }
         let (tag, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
         let fields: Vec<&str> = rest.split(' ').collect();
         match (tag, fields.as_slice()) {
@@ -1952,17 +2100,29 @@ fn parse_meta(text: &str) -> HybridResult<MetaState> {
                 meta.project_lib
                     .insert(ProjectId::from_raw(parse_num(raw, line)?), unhex_str(name)?);
             }
+            ("project-lib-", [raw]) => {
+                meta.project_lib
+                    .remove(&ProjectId::from_raw(parse_num(raw, line)?));
+            }
             ("cv-cell", [raw, name]) => {
                 meta.cv_cell.insert(
                     CellVersionId::from_raw(parse_num(raw, line)?),
                     unhex_str(name)?,
                 );
             }
+            ("cv-cell-", [raw]) => {
+                meta.cv_cell
+                    .remove(&CellVersionId::from_raw(parse_num(raw, line)?));
+            }
             ("viewtype", [raw, name]) => {
                 meta.viewtype_names.insert(
                     ViewTypeId::from_raw(parse_num(raw, line)?),
                     unhex_str(name)?,
                 );
+            }
+            ("viewtype-", [raw]) => {
+                meta.viewtype_names
+                    .remove(&ViewTypeId::from_raw(parse_num(raw, line)?));
             }
             ("viewtype-app", [name, kind]) => {
                 meta.viewtype_apps
@@ -1984,6 +2144,10 @@ fn parse_meta(text: &str) -> HybridResult<MetaState> {
                         version: parse_num(version, line)?,
                     },
                 );
+            }
+            ("dov-mirror-", [raw]) => {
+                meta.dov_mirror
+                    .remove(&DovId::from_raw(parse_num(raw, line)?));
             }
             ("mirror-cache", [lib, cell, view, hash, version]) => {
                 meta.mirror_cache.insert(
@@ -2010,7 +2174,9 @@ fn parse_meta(text: &str) -> HybridResult<MetaState> {
             _ => return Err(bad(line)),
         }
     }
-    Ok(meta)
+    let excess = meta.trace.len().saturating_sub(meta.trace_capacity);
+    meta.trace.drain(..excess);
+    Ok(())
 }
 
 /// What [`Engine::recover_from`] did to bring a crashed journal back:
@@ -2060,9 +2226,11 @@ impl Engine {
     /// and the in-memory journal is cleared only after the commit, so
     /// a failed checkpoint loses nothing.
     ///
-    /// Reading the live file system charges its meter; the checkpoint
-    /// records the meter *after* the walk, so a restored engine
-    /// resumes with exactly the live instance's charges.
+    /// Every checkpoint charges the live FMCAD meter a walk of the
+    /// whole tree (a base walks it; a delta charges the same through
+    /// [`Vfs::charge_walk`] without reading) and records the meter
+    /// *after* that charge, so a restored engine resumes with exactly
+    /// the live instance's charges.
     ///
     /// # Errors
     ///
@@ -2091,10 +2259,24 @@ impl Engine {
         dir: &VfsPath,
         seal: bool,
     ) -> HybridResult<()> {
-        match &self.durable {
-            Some(d) if d.dir == *dir => self.checkpoint_delta(backup, dir, seal),
-            _ => self.checkpoint_full(backup, dir),
+        if self.chain_in(backup, dir).is_some() {
+            self.checkpoint_delta(backup, dir, seal)
+        } else {
+            self.checkpoint_full(backup, dir)
         }
+    }
+
+    /// The chain this engine keeps in `dir`, if `backup` holds it: the
+    /// directory matches and the disk's manifest is the very text this
+    /// engine last committed or recovered from. Any other disk at the
+    /// same path — a fresh one, or one whose chain this engine has
+    /// since moved away from — gets `None`, so no delta, segment or
+    /// compaction lands on a chain it does not extend. The check reads
+    /// nothing through the meter ([`Vfs::holds`]).
+    fn chain_in(&self, backup: &Vfs, dir: &VfsPath) -> Option<&DurableState> {
+        let d = self.durable.as_ref().filter(|d| d.dir == *dir)?;
+        let manifest = dir.join(CK_MANIFEST).ok()?;
+        backup.holds(&manifest, d.on_disk.as_bytes()).then_some(d)
     }
 
     /// Writes a full base checkpoint (images of everything) and starts
@@ -2129,21 +2311,21 @@ impl Engine {
             segs: Vec::new(),
             open: (open_id, self.seq + 1),
         };
+        let on_disk = manifest.render();
         let files = [
             (OMS_IMG.to_owned(), oms_text),
             (FS_IMG.to_owned(), fs_text),
             (HYBRID_META.to_owned(), meta_text),
-            (CK_MANIFEST.to_owned(), manifest.render()),
+            (CK_MANIFEST.to_owned(), on_disk.clone()),
         ];
         Self::group_commit(backup, dir, &files)?;
-        let (prev_dirs, prev_files) = scan_summary(&scan);
         self.journal.clear();
+        let head = self.mark_chain_head();
         self.durable = Some(DurableState {
             dir: dir.clone(),
-            prev_db: self.hy.jcf.database().snapshot(),
-            prev_dirs,
-            prev_files,
+            head,
             manifest,
+            on_disk,
             closed_upto: self.seq,
             next_delta,
         });
@@ -2152,10 +2334,18 @@ impl Engine {
 
     /// Writes a delta checkpoint against the chain head: the pending
     /// journal tail is sealed into a final (retired) segment (when
-    /// `seal`), the OMS and file-system diffs plus the full coupling
-    /// meta go into one `delta-<k>.ck` file, and the rewritten
-    /// manifest commits it all. Work and bytes are proportional to the
-    /// delta, not the database.
+    /// `seal`), the OMS diff, the FMCAD paths changed since the head
+    /// and the coupling-meta records go into one `delta-<k>.ck` file,
+    /// and the rewritten manifest commits it all. Work and bytes are
+    /// proportional to the delta, not the database.
+    ///
+    /// The FMCAD section reads nothing: the tree's change window
+    /// ([`Vfs::changes`]) hands over the touched paths with their
+    /// content. The live meter is still charged what a walk of the
+    /// whole tree costs ([`Vfs::charge_walk`], O(1)) — the modeled
+    /// cost of taking the backup, unchanged from when the checkpoint
+    /// did walk — and the delta records the meter after that charge,
+    /// so a recovered engine resumes with exactly the live charges.
     fn checkpoint_delta(
         &mut self,
         backup: &mut Vfs,
@@ -2206,26 +2396,24 @@ impl Engine {
         }
 
         // The delta file: OMS records, file-system records, then the
-        // full coupling meta (small and flat — not worth diffing).
+        // coupling-meta records.
         let oms_delta =
-            oms::persist::dump_delta(&d.prev_db, self.hy.jcf.database(), &format!("seq-{head}"))
+            oms::persist::dump_delta(&d.head.db, self.hy.jcf.database(), &format!("seq-{head}"))
                 .map_err(|e| HybridError::Journal(format!("delta: {e}")))?;
-        let scan = fs_scan(self.hy.fmcad.fs_ref())?;
         let fs = self.hy.fmcad.fs_ref();
+        let changes = fs.changes().expect("a chain head tracks the FMCAD tree");
+        fs.charge_walk();
         let mut delta_text = format!("{DELTA_MAGIC}\nseq {}\nparent {head}\n", self.seq);
         for line in oms_delta.lines() {
-            delta_text.push_str(&format!("o|{line}\n"));
+            delta_text.push_str("o|");
+            delta_text.push_str(line);
+            delta_text.push('\n');
         }
-        fs_delta_section(
-            &scan,
-            &d.prev_dirs,
-            &d.prev_files,
-            fs.now(),
-            &fs.meter(),
-            &mut delta_text,
-        );
-        for line in self.meta_text().lines() {
-            delta_text.push_str(&format!("m|{line}\n"));
+        fs_delta_section(&changes, fs.now(), &fs.meter(), &mut delta_text);
+        for line in self.meta_delta(&d.head, head).lines() {
+            delta_text.push_str("m|");
+            delta_text.push_str(line);
+            delta_text.push('\n');
         }
 
         let delta_id = d.next_delta;
@@ -2242,18 +2430,18 @@ impl Engine {
             parent: head,
             fp: oms::persist::fnv64(delta_text.as_bytes()),
         });
+        let on_disk = manifest.render();
         files.push((delta_file(delta_id), delta_text));
-        files.push((CK_MANIFEST.to_owned(), manifest.render()));
+        files.push((CK_MANIFEST.to_owned(), on_disk.clone()));
         Self::group_commit(backup, dir, &files)?;
 
-        let (prev_dirs, prev_files) = scan_summary(&scan);
         self.journal.clear();
+        let head = self.mark_chain_head();
         self.durable = Some(DurableState {
             dir: dir.clone(),
-            prev_db: self.hy.jcf.database().snapshot(),
-            prev_dirs,
-            prev_files,
+            head,
             manifest,
+            on_disk,
             closed_upto: self.seq,
             next_delta: delta_id + 1,
         });
@@ -2297,12 +2485,13 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`HybridError::Journal`], writing nothing, when no
-    /// [`Engine::checkpoint`] into `dir` has anchored a chain yet;
+    /// [`Engine::checkpoint`] into `dir` of this disk has anchored a
+    /// chain yet (or a later checkpoint moved the chain elsewhere);
     /// otherwise backup file system errors — typed
     /// [`HybridError::Vfs`] faults for injected or out-of-space
     /// writes, journal errors for framing problems.
     pub fn sync_journal(&mut self, backup: &mut Vfs, dir: &VfsPath) -> HybridResult<()> {
-        let Some(d) = self.durable.as_ref().filter(|d| d.dir == *dir) else {
+        let Some(d) = self.chain_in(backup, dir) else {
             return Err(HybridError::Journal(format!(
                 "sync before first checkpoint: no chain in {dir} to anchor the journal to"
             )));
@@ -2351,10 +2540,12 @@ impl Engine {
             segs,
             open: (open_id, closed_upto + 1),
         };
-        files.push((CK_MANIFEST.to_owned(), manifest.render()));
+        let on_disk = manifest.render();
+        files.push((CK_MANIFEST.to_owned(), on_disk.clone()));
         Self::group_commit(backup, dir, &files)?;
         let d = self.durable.as_mut().expect("chain checked above");
         d.manifest = manifest;
+        d.on_disk = on_disk;
         d.closed_upto = closed_upto;
         Ok(())
     }
@@ -2479,7 +2670,7 @@ impl Engine {
             fs,
             meter,
             clock,
-            meta_text,
+            meta: parse_meta(&meta_text)?,
             seq: manifest.base_seq,
             fp,
         })
@@ -2506,9 +2697,13 @@ impl Engine {
 
     /// Reads and parses `ck.manifest`.
     fn load_manifest(backup: &Vfs, dir: &VfsPath) -> HybridResult<Manifest> {
-        let text = oms::persist::load_text(backup, &dir.join(CK_MANIFEST)?)
-            .map_err(|e| HybridError::DeltaChain(format!("{CK_MANIFEST}: {e}")))?;
-        Manifest::parse(&text)
+        Manifest::parse(&Self::manifest_text(backup, dir)?)
+    }
+
+    /// Reads `ck.manifest` as text.
+    fn manifest_text(backup: &Vfs, dir: &VfsPath) -> HybridResult<String> {
+        oms::persist::load_text(backup, &dir.join(CK_MANIFEST)?)
+            .map_err(|e| HybridError::DeltaChain(format!("{CK_MANIFEST}: {e}")))
     }
 
     /// Deletes every file in the chain directory the manifest no
@@ -2554,7 +2749,7 @@ impl Engine {
         dir: &VfsPath,
         sync_tail: bool,
     ) -> HybridResult<usize> {
-        if self.durable.as_ref().filter(|d| d.dir == *dir).is_none() {
+        if self.chain_in(backup, dir).is_none() {
             return Ok(0);
         }
         if sync_tail {
@@ -2570,8 +2765,11 @@ impl Engine {
         } else {
             Self::load_manifest(backup, dir).is_ok_and(|on_disk| on_disk == manifest)
         };
+        let mut on_disk = None;
         if !committed {
-            Self::group_commit(backup, dir, &[(CK_MANIFEST.to_owned(), manifest.render())])?;
+            let text = manifest.render();
+            Self::group_commit(backup, dir, &[(CK_MANIFEST.to_owned(), text.clone())])?;
+            on_disk = Some(text);
         }
         let mut keep: std::collections::BTreeSet<String> = [
             OMS_IMG.to_owned(),
@@ -2594,6 +2792,9 @@ impl Engine {
         }
         let d = self.durable.as_mut().expect("chain checked above");
         d.manifest = manifest;
+        if let Some(text) = on_disk {
+            d.on_disk = text;
+        }
         Ok(removed)
     }
 
@@ -2613,7 +2814,8 @@ impl Engine {
         target: Option<u64>,
         lenient: bool,
     ) -> HybridResult<(Engine, RecoveryReport)> {
-        let manifest = Self::load_manifest(backup, dir)?;
+        let on_disk = Self::manifest_text(backup, dir)?;
+        let manifest = Manifest::parse(&on_disk)?;
         if manifest.base_seq != base.seq || manifest.base_fp != base.fp {
             return Err(HybridError::DeltaChain(
                 "chain was rebased since the base image was loaded".to_owned(),
@@ -2633,7 +2835,7 @@ impl Engine {
         let mut fs = base.fs.clone();
         let mut meter = base.meter;
         let mut clock = base.clock;
-        let mut meta_text = base.meta_text.clone();
+        let mut meta = base.meta.clone();
         let mut at = base.seq;
         let mut chain_break = None;
         let mut applied_deltas = 0;
@@ -2642,13 +2844,21 @@ impl Engine {
                 break;
             }
             match Self::read_delta(backup, dir, rec, at) {
-                Ok((oms_lines, fs_lines, meta)) => {
+                Ok((oms_lines, fs_lines, delta_meta)) => {
+                    let in_delta = |e: HybridError| {
+                        HybridError::DeltaChain(format!("{}: {e}", delta_file(rec.id)))
+                    };
                     oms::persist::apply_delta(&mut db, &oms_lines)
                         .map_err(|e| HybridError::DeltaChain(format!("delta {}: {e}", rec.id)))?;
                     let (c, m) = apply_fs_delta(&mut fs, &fs_lines)?;
                     clock = c;
                     meter = m;
-                    meta_text = meta;
+                    match delta_meta {
+                        DeltaMeta::Whole(text) => meta = parse_meta(&text).map_err(in_delta)?,
+                        DeltaMeta::Records(text) => {
+                            fold_meta(&mut meta, text.lines()).map_err(in_delta)?
+                        }
+                    }
                     at = rec.seq;
                     applied_deltas += 1;
                 }
@@ -2660,13 +2870,10 @@ impl Engine {
             }
         }
 
-        // Phase 2: capture the chain head (what the engine's next
-        // delta checkpoint will diff against) before replay moves on.
-        let prev_db = db.snapshot();
-        let head_scan = fs_scan(&fs)?;
-        let (prev_dirs, prev_files) = scan_summary(&head_scan);
+        // Phase 2: assemble the engine and capture the chain head (what
+        // its next delta checkpoint will diff against) before replay
+        // moves on.
         let head = at;
-        let meta = parse_meta(&meta_text)?;
         if meta.seq != at {
             return Err(HybridError::DeltaChain(format!(
                 "checkpoint at seq {at} recorded meta seq {}",
@@ -2674,6 +2881,7 @@ impl Engine {
             )));
         }
         let mut engine = Self::assemble_from_parts(db, fs, meter, clock, meta)?;
+        let chain_head = engine.mark_chain_head();
 
         // Phase 3: replay journal segments past the chain head. Sealed
         // segments verify against their manifest fingerprints; the
@@ -2758,9 +2966,7 @@ impl Engine {
         let next_delta = manifest.deltas.iter().map(|d| d.id).max().unwrap_or(0) + 1;
         engine.durable = Some(DurableState {
             dir: dir.clone(),
-            prev_db,
-            prev_dirs,
-            prev_files,
+            head: chain_head,
             manifest: Manifest {
                 base_seq: manifest.base_seq,
                 base_fp: manifest.base_fp,
@@ -2777,6 +2983,7 @@ impl Engine {
                 },
                 open: (max_id + 1, closed_upto + 1),
             },
+            on_disk,
             closed_upto,
             next_delta,
         });
@@ -2784,13 +2991,15 @@ impl Engine {
     }
 
     /// Reads and verifies one delta checkpoint file, splitting it into
-    /// its OMS section, file-system records, and meta text.
+    /// its OMS section, file-system records, and meta section — meta
+    /// records in the current format, the whole meta text in a v1
+    /// delta.
     fn read_delta(
         backup: &Vfs,
         dir: &VfsPath,
         rec: &DeltaRec,
         at: u64,
-    ) -> HybridResult<(String, Vec<String>, String)> {
+    ) -> HybridResult<(String, Vec<String>, DeltaMeta)> {
         let name = delta_file(rec.id);
         let text = oms::persist::load_text(backup, &dir.join(&name)?)
             .map_err(|e| HybridError::DeltaChain(format!("{name}: {e}")))?;
@@ -2806,9 +3015,11 @@ impl Engine {
             )));
         }
         let mut lines = text.lines();
-        if lines.next() != Some(DELTA_MAGIC) {
-            return Err(HybridError::DeltaChain(format!("{name}: bad header")));
-        }
+        let whole_meta = match lines.next() {
+            Some(DELTA_MAGIC) => false,
+            Some(DELTA_MAGIC_V1) => true,
+            _ => return Err(HybridError::DeltaChain(format!("{name}: bad header"))),
+        };
         let mut oms_section = String::new();
         let mut fs_records = Vec::new();
         let mut meta_text = String::new();
@@ -2839,7 +3050,12 @@ impl Engine {
                 )));
             }
         }
-        Ok((oms_section, fs_records, meta_text))
+        let meta = if whole_meta {
+            DeltaMeta::Whole(meta_text)
+        } else {
+            DeltaMeta::Records(meta_text)
+        };
+        Ok((oms_section, fs_records, meta))
     }
 
     /// Reads and verifies one sealed segment, checking fingerprint,
@@ -2974,7 +3190,7 @@ impl Engine {
             fmcad_ui_ops: meta.fmcad_ui_ops,
             features: meta.features,
             staging_mode: meta.staging_mode,
-            mirror_cache: meta.mirror_cache,
+            mirror_cache: MirrorCache::from_entries(meta.mirror_cache),
             mirror_cache_hits: meta.mirror_cache_hits,
             // Pure memoization; rebuilt on demand, never persisted.
             children_cache: BTreeMap::new(),

@@ -1,6 +1,6 @@
 //! The hybrid framework object: coupling state and project structure.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use cad_tools::ToolKind;
@@ -132,15 +132,80 @@ pub struct Hybrid {
     pub(crate) fmcad_ui_ops: u64,
     pub(crate) features: crate::future::FutureFeatures,
     pub(crate) staging_mode: StagingMode,
-    /// Content-addressed mirror state: (library, cell, view) → (content
-    /// hash, cellview version) of the bytes last mirrored there.
-    pub(crate) mirror_cache: BTreeMap<(String, String, String), (u64, u32)>,
+    /// Content-addressed mirror state.
+    pub(crate) mirror_cache: MirrorCache,
     pub(crate) mirror_cache_hits: u64,
     /// Content-addressed hierarchy extraction: (viewtype, content hash)
     /// → child cells referenced by those bytes. Lets the write-time
     /// consistency guard skip re-parsing design data it has already
     /// seen (zero-copy staging only).
     pub(crate) children_cache: BTreeMap<(String, u64), Vec<String>>,
+}
+
+/// A mirrored FMCAD view: (library, cell, view).
+pub(crate) type MirrorKey = (String, String, String);
+/// What the mirror cache remembers of a view: (content hash, cellview
+/// version) of the bytes last mirrored there.
+pub(crate) type Mirrored = (u64, u32);
+
+/// Content-addressed mirror state: (library, cell, view) → (content
+/// hash, cellview version) of the bytes last mirrored there. While a
+/// checkpoint chain tracks it, it also remembers which keys changed
+/// since the chain head, so a delta checkpoint records only those.
+#[derive(Debug, Default)]
+pub(crate) struct MirrorCache {
+    entries: BTreeMap<MirrorKey, Mirrored>,
+    /// `Some((cleared, keys))` while tracked: whether the cache was
+    /// cleared since the window began, and the keys inserted after the
+    /// last clear.
+    changes: Option<(bool, BTreeSet<MirrorKey>)>,
+}
+
+impl MirrorCache {
+    pub(crate) fn from_entries(entries: BTreeMap<MirrorKey, Mirrored>) -> MirrorCache {
+        MirrorCache {
+            entries,
+            changes: None,
+        }
+    }
+
+    pub(crate) fn get(&self, key: &MirrorKey) -> Option<&Mirrored> {
+        self.entries.get(key)
+    }
+
+    pub(crate) fn insert(&mut self, key: MirrorKey, value: Mirrored) {
+        if let Some((_, keys)) = &mut self.changes {
+            keys.insert(key.clone());
+        }
+        self.entries.insert(key, value);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        if let Some((cleared, keys)) = &mut self.changes {
+            *cleared = true;
+            keys.clear();
+        }
+        self.entries.clear();
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&MirrorKey, &Mirrored)> {
+        self.entries.iter()
+    }
+
+    /// Starts a new change window (forgetting the previous one).
+    pub(crate) fn track_changes(&mut self) {
+        self.changes = Some((false, BTreeSet::new()));
+    }
+
+    /// Whether the cache was cleared since [`MirrorCache::track_changes`],
+    /// and the entries inserted after that — `None` when untracked.
+    pub(crate) fn changes(&self) -> Option<(bool, impl Iterator<Item = (&MirrorKey, &Mirrored)>)> {
+        let (cleared, keys) = self.changes.as_ref()?;
+        let entries = keys
+            .iter()
+            .filter_map(|key| self.entries.get_key_value(key));
+        Some((*cleared, entries))
+    }
 }
 
 /// The three-tool standard flow of the paper's encapsulation scenario
@@ -217,7 +282,7 @@ impl Hybrid {
             fmcad_ui_ops: 0,
             features: crate::future::FutureFeatures::default(),
             staging_mode: StagingMode::default(),
-            mirror_cache: BTreeMap::new(),
+            mirror_cache: MirrorCache::default(),
             mirror_cache_hits: 0,
             children_cache: BTreeMap::new(),
         }

@@ -307,6 +307,92 @@ impl RoutePlan {
     }
 }
 
+/// A registered partition: its name and its owning shard under the
+/// current shard count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Partition {
+    name: Arc<str>,
+    shard: u32,
+}
+
+/// The router tables a [`ShardView`] reads. Every one is a persistent
+/// map, so capturing a view clones a few roots and a commit
+/// path-copies O(log n) nodes of the tables it changes — the rest stay
+/// shared with every view the history ring holds.
+#[derive(Debug, Clone)]
+struct RouterTables {
+    /// vid → location.
+    forward: PMap<u64, VirtEntry>,
+    /// Per shard: local raw id → vid. Maintained with `forward`; not
+    /// serialized.
+    reverse: Vec<PMap<u64, u64>>,
+    /// Partition index → name and owning shard.
+    partitions: PMap<u64, Partition>,
+    /// Cross-partition hierarchy edges `(cv vid, child cell vid)`,
+    /// keyed by commit ordinal.
+    comp_edges: PMap<u64, (u64, u64)>,
+    /// Cross-partition equivalences `(dov vid, dov vid)`, keyed by
+    /// commit ordinal.
+    equiv_edges: PMap<u64, (u64, u64)>,
+    /// dov vid → the set of its cross-partition equivalence partners,
+    /// so adding an edge path-copies O(log n) nodes however many
+    /// partners a hub dov has. Maintained with `equiv_edges`; not
+    /// serialized.
+    equiv_adj: PMap<u64, PMap<u64, ()>>,
+}
+
+impl RouterTables {
+    fn new(nshards: usize) -> RouterTables {
+        RouterTables {
+            forward: PMap::new(),
+            reverse: vec![PMap::new(); nshards],
+            partitions: PMap::new(),
+            comp_edges: PMap::new(),
+            equiv_edges: PMap::new(),
+            equiv_adj: PMap::new(),
+        }
+    }
+
+    /// The owning shard of partition `part`.
+    fn shard_of(&self, part: u32) -> Option<usize> {
+        self.partitions
+            .get(&u64::from(part))
+            .map(|p| p.shard as usize)
+    }
+
+    /// The owning shard and shard-local id of a sharded virtual id.
+    fn resolve(&self, raw: u64) -> Option<(usize, u64)> {
+        match self.forward.get(&raw)? {
+            VirtEntry::Sharded { part, local } => Some((self.shard_of(*part)?, *local)),
+            VirtEntry::Broadcast { .. } => None,
+        }
+    }
+
+    /// The virtual id of shard-local `local` on `shard`. Bootstrap ids
+    /// (below [`VIRT_BASE`]) pass through untranslated.
+    fn vid_of(&self, shard: usize, local: u64) -> Option<u64> {
+        self.reverse[shard]
+            .get(&local)
+            .copied()
+            .or((local < VIRT_BASE).then_some(local))
+    }
+
+    fn push_comp(&mut self, parent: u64, child: u64) {
+        self.comp_edges
+            .insert(self.comp_edges.len() as u64, (parent, child));
+    }
+
+    fn push_equiv(&mut self, a: u64, b: u64) {
+        self.equiv_edges
+            .insert(self.equiv_edges.len() as u64, (a, b));
+        for (from, to) in [(a, b), (b, a)] {
+            self.equiv_adj
+                .get_or_insert_with(from, PMap::new)
+                .insert(to, ());
+        }
+    }
+}
+
 /// The shard router: virtual-id maps, partition registry, envelope
 /// journals and the global commit sequence. Guarded by one mutex in
 /// the live service; owned directly during recovery replay.
@@ -321,19 +407,8 @@ struct ShardRouter {
     next_part: u32,
     /// Live partition name → partition index.
     parts: BTreeMap<String, u32>,
-    /// Partition index → owning shard under the current shard count.
-    part_shard: BTreeMap<u32, u32>,
-    /// vid → location. Persistent map: O(1) clone per published view.
-    forward: PMap<u64, VirtEntry>,
-    /// Per shard: local raw id → vid (derived from `forward`; not
-    /// serialized).
-    reverse: Vec<PMap<u64, u64>>,
-    /// Cross-partition hierarchy edges `(cv vid, child cell vid)` in
-    /// commit order.
-    comp_edges: Vec<(u64, u64)>,
-    /// Cross-partition equivalences `(dov vid, dov vid)` in commit
-    /// order.
-    equiv_edges: Vec<(u64, u64)>,
+    /// The id maps and relation tables every composed view shares.
+    tables: RouterTables,
     /// Per-shard envelope journals since the last checkpoint.
     logs: Vec<Vec<EnvelopeRecord>>,
     /// Per shard: how many records of `logs[i]` the live epoch's
@@ -356,11 +431,7 @@ impl ShardRouter {
             epoch: 0,
             next_part: 0,
             parts: BTreeMap::new(),
-            part_shard: BTreeMap::new(),
-            forward: PMap::new(),
-            reverse: vec![PMap::new(); nshards],
-            comp_edges: Vec::new(),
-            equiv_edges: Vec::new(),
+            tables: RouterTables::new(nshards),
             logs: vec![Vec::new(); nshards],
             synced: vec![None; nshards],
             broadcasts: 0,
@@ -389,7 +460,7 @@ impl ShardRouter {
         if raw < VIRT_BASE {
             return Ok(raw);
         }
-        match self.forward.get(&raw) {
+        match self.tables.forward.get(&raw) {
             Some(VirtEntry::Broadcast { locals }) => Ok(locals[shard]),
             Some(VirtEntry::Sharded { part, local }) => {
                 let owner = self.shard_of_part(*part)?;
@@ -411,7 +482,10 @@ impl ShardRouter {
 
     /// local id on `shard` → vid (pass-through for bootstrap ids).
     fn rv_raw(&self, shard: usize, local: u64) -> u64 {
-        self.reverse[shard].get(&local).copied().unwrap_or(local)
+        self.tables.reverse[shard]
+            .get(&local)
+            .copied()
+            .unwrap_or(local)
     }
 
     fn rv<T: PmapKey>(&self, shard: usize, id: T) -> T {
@@ -419,14 +493,13 @@ impl ShardRouter {
     }
 
     fn shard_of_part(&self, part: u32) -> Result<usize, String> {
-        self.part_shard
-            .get(&part)
-            .map(|&s| s as usize)
+        self.tables
+            .shard_of(part)
             .ok_or_else(|| format!("unknown partition {part}"))
     }
 
     fn sharded_part(&self, raw: u64) -> Result<u32, String> {
-        match self.forward.get(&raw) {
+        match self.tables.forward.get(&raw) {
             Some(VirtEntry::Sharded { part, .. }) => Ok(*part),
             Some(VirtEntry::Broadcast { .. }) => Err(format!(
                 "id {raw} is replicated on every shard and cannot anchor a partition op"
@@ -439,16 +512,16 @@ impl ShardRouter {
         match &entry {
             VirtEntry::Broadcast { locals } => {
                 for (shard, &local) in locals.iter().enumerate() {
-                    self.reverse[shard].insert(local, vid);
+                    self.tables.reverse[shard].insert(local, vid);
                 }
             }
             VirtEntry::Sharded { part, local } => {
                 if let Ok(shard) = self.shard_of_part(*part) {
-                    self.reverse[shard].insert(*local, vid);
+                    self.tables.reverse[shard].insert(*local, vid);
                 }
             }
         }
-        self.forward.insert(vid, entry);
+        self.tables.forward.insert(vid, entry);
     }
 
     // -- routing -----------------------------------------------------------
@@ -790,7 +863,13 @@ impl ShardRouter {
                 let part = self.next_part;
                 self.next_part += 1;
                 self.parts.insert(name.to_owned(), part);
-                self.part_shard.insert(part, shard as u32);
+                self.tables.partitions.insert(
+                    u64::from(part),
+                    Partition {
+                        name: Arc::from(name),
+                        shard: shard as u32,
+                    },
+                );
                 (part, true)
             }
         };
@@ -801,7 +880,7 @@ impl ShardRouter {
     /// engine rejected its create op.
     fn rollback_part(&mut self, name: &str, part: u32) {
         self.parts.remove(name);
-        self.part_shard.remove(&part);
+        self.tables.partitions.remove(&u64::from(part));
     }
 
     /// Translates a broadcast op for every shard (all-or-nothing) and
@@ -858,8 +937,8 @@ impl ShardRouter {
             self.logs[sb].push(prepare);
         }
         match op {
-            Op::DeclareCompOf { cv, child, .. } => self.comp_edges.push((cv.raw(), child.raw())),
-            Op::MarkEquivalent { a, b } => self.equiv_edges.push((a.raw(), b.raw())),
+            Op::DeclareCompOf { cv, child, .. } => self.tables.push_comp(cv.raw(), child.raw()),
+            Op::MarkEquivalent { a, b } => self.tables.push_equiv(a.raw(), b.raw()),
             _ => unreachable!("validated above"),
         }
         self.logs[sa].push(EnvelopeRecord::Commit { seq });
@@ -1125,11 +1204,13 @@ impl ShardRouter {
         for (name, idx) in &self.parts {
             lines.push(format!(
                 "part|idx={idx}|shard={}|name={}",
-                self.part_shard[idx],
+                self.tables
+                    .shard_of(*idx)
+                    .expect("every named partition is registered"),
                 codec::enc_str(name)
             ));
         }
-        for (vid, entry) in self.forward.iter() {
+        for (vid, entry) in self.tables.forward.iter() {
             match entry {
                 VirtEntry::Broadcast { locals } => lines.push(format!(
                     "vid|id={vid}|bcast={}",
@@ -1144,17 +1225,18 @@ impl ShardRouter {
                 }
             }
         }
-        for (parent, child) in &self.comp_edges {
+        for (parent, child) in self.tables.comp_edges.values() {
             lines.push(format!("comp|parent={parent}|child={child}"));
         }
-        for (a, b) in &self.equiv_edges {
+        for (a, b) in self.tables.equiv_edges.values() {
             lines.push(format!("equiv|a={a}|b={b}"));
         }
         lines
     }
 
     /// Rebuilds a router from its persisted image, re-deriving the
-    /// per-shard reverse maps from the forward entries.
+    /// per-shard reverse maps from the forward entries and the
+    /// equivalence adjacency from the equivalence edges.
     fn from_meta(lines: &[String]) -> Result<ShardRouter, String> {
         fn fields(line: &str) -> Result<(&str, BTreeMap<&str, &str>), String> {
             let mut parts = line.split('|');
@@ -1197,8 +1279,14 @@ impl ShardRouter {
                         .and_then(|hex| codec::unhex(hex))
                         .and_then(|bytes| String::from_utf8(bytes).ok())
                         .ok_or_else(|| format!("part line without a hex name: {line:?}"))?;
+                    router.tables.partitions.insert(
+                        u64::from(idx),
+                        Partition {
+                            name: Arc::from(name.as_str()),
+                            shard,
+                        },
+                    );
                     router.parts.insert(name, idx);
-                    router.part_shard.insert(idx, shard);
                 }
                 "vid" => {
                     let vid: u64 = num(&map, "id")?;
@@ -1217,9 +1305,9 @@ impl ShardRouter {
                     router.register(vid, entry);
                 }
                 "comp" => router
-                    .comp_edges
-                    .push((num(&map, "parent")?, num(&map, "child")?)),
-                "equiv" => router.equiv_edges.push((num(&map, "a")?, num(&map, "b")?)),
+                    .tables
+                    .push_comp(num(&map, "parent")?, num(&map, "child")?),
+                "equiv" => router.tables.push_equiv(num(&map, "a")?, num(&map, "b")?),
                 other => return Err(format!("unknown router image line kind {other:?}")),
             }
         }
@@ -1653,13 +1741,7 @@ impl ShardedService {
     /// The shard owning a virtual id, with its shard-local id there —
     /// `None` for broadcast or unknown ids.
     pub fn resolve_shard(&self, raw: u64) -> Option<(usize, u64)> {
-        let router = lock(&self.inner.router);
-        match router.forward.get(&raw) {
-            Some(VirtEntry::Sharded { part, local }) => {
-                Some((router.shard_of_part(*part).ok()?, *local))
-            }
-            _ => None,
-        }
+        lock(&self.inner.router).tables.resolve(raw)
     }
 
     /// A deterministic fingerprint over every shard engine's state
@@ -2241,14 +2323,12 @@ impl WriteStack for ShardedService {
 }
 
 /// The router's contribution to a [`ShardView`]: the frozen virtual-id
-/// map, partition registry and cross-partition relations.
+/// maps, partition registry and cross-partition relations — clones of
+/// the router's persistent tables, sharing every node with the live
+/// router and with the other retained views.
 #[derive(Debug, Clone)]
 pub struct RouterView {
-    forward: PMap<u64, VirtEntry>,
-    part_shard: BTreeMap<u32, u32>,
-    partitions: Vec<(String, u32)>,
-    comp_edges: Vec<(u64, u64)>,
-    equiv_edges: Vec<(u64, u64)>,
+    tables: RouterTables,
     nshards: usize,
     seq: u64,
 }
@@ -2258,13 +2338,7 @@ impl RouterView {
     /// for broadcast entities (which live on every shard) and unknown
     /// ids.
     pub fn resolve(&self, raw: u64) -> Option<(usize, u64)> {
-        match self.forward.get(&raw)? {
-            VirtEntry::Sharded { part, local } => {
-                let shard = *self.part_shard.get(part)? as usize;
-                Some((shard, *local))
-            }
-            VirtEntry::Broadcast { .. } => None,
-        }
+        self.tables.resolve(raw)
     }
 
     /// The shard-local id of a virtual id on a given shard: broadcast
@@ -2274,36 +2348,37 @@ impl RouterView {
         if raw < VIRT_BASE {
             return Some(raw);
         }
-        match self.forward.get(&raw)? {
+        match self.tables.forward.get(&raw)? {
             VirtEntry::Broadcast { locals } => locals.get(shard).copied(),
             VirtEntry::Sharded { part, local } => {
-                (*self.part_shard.get(part)? as usize == shard).then_some(*local)
+                (self.tables.shard_of(*part)? == shard).then_some(*local)
             }
         }
     }
 
     /// The registered partitions as `(name, shard)` pairs, sorted by
-    /// name.
+    /// name (built on call).
     pub fn partitions(&self) -> Vec<(String, usize)> {
-        self.partitions
-            .iter()
-            .map(|(name, idx)| {
-                let shard = self.part_shard.get(idx).copied().unwrap_or(0) as usize;
-                (name.clone(), shard)
-            })
-            .collect()
+        let mut out: Vec<(String, usize)> = self
+            .tables
+            .partitions
+            .values()
+            .map(|p| (p.name.to_string(), p.shard as usize))
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Cross-partition `comp-of` edges as `(parent cv, child cell)`
-    /// virtual-id pairs, in commit order.
-    pub fn cross_comp_edges(&self) -> &[(u64, u64)] {
-        &self.comp_edges
+    /// virtual-id pairs, in commit order (built on call).
+    pub fn cross_comp_edges(&self) -> Vec<(u64, u64)> {
+        self.tables.comp_edges.values().copied().collect()
     }
 
     /// Cross-partition equivalence edges as virtual-id pairs, in
-    /// commit order.
-    pub fn cross_equivalences(&self) -> &[(u64, u64)] {
-        &self.equiv_edges
+    /// commit order (built on call).
+    pub fn cross_equivalences(&self) -> Vec<(u64, u64)> {
+        self.tables.equiv_edges.values().copied().collect()
     }
 
     /// The number of shards behind the view.
@@ -2382,38 +2457,6 @@ impl ShardView {
         Ok((shard, UserId::from_raw(local_user), DovId::from_raw(local)))
     }
 
-    /// Per-shard reverse id maps (local → virtual), derived from the
-    /// frozen forward map. Built lazily per query; the impact walks
-    /// need to lift every shard-local neighbour back into virtual
-    /// space.
-    fn reverse_maps(&self) -> Vec<BTreeMap<u64, u64>> {
-        let mut rev: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); self.snaps.len()];
-        for (vid, entry) in self.router.forward.iter() {
-            match entry {
-                VirtEntry::Broadcast { locals } => {
-                    for (shard, local) in locals.iter().enumerate() {
-                        rev[shard].insert(*local, vid);
-                    }
-                }
-                VirtEntry::Sharded { part, local } => {
-                    if let Some(shard) = self.router.part_shard.get(part) {
-                        rev[*shard as usize].insert(*local, vid);
-                    }
-                }
-            }
-        }
-        rev
-    }
-
-    /// The virtual id of shard-local `local` on `shard`. Bootstrap ids
-    /// (below [`VIRT_BASE`]) pass through untranslated.
-    fn vid_of(rev: &[BTreeMap<u64, u64>], shard: usize, local: u64) -> Option<u64> {
-        rev[shard]
-            .get(&local)
-            .copied()
-            .or((local < VIRT_BASE).then_some(local))
-    }
-
     fn resolve_cv(&self, cv: CellVersionId) -> HybridResult<(usize, CellVersionId)> {
         let (shard, local) = self.router.resolve(cv.raw()).ok_or_else(|| {
             HybridError::ShardRouting(format!("cell version {} has no owning shard", cv.raw()))
@@ -2426,33 +2469,32 @@ impl ShardView {
     /// derivation/equivalence walk, glued together through the
     /// router's cross-partition equivalence edges, answered in virtual
     /// ids. Sorted by id, so the answer is invariant across shard
-    /// counts for the same op stream.
+    /// counts for the same op stream. The walk touches only what it
+    /// reaches: ids lift through the router's reverse maps and cross
+    /// edges come from its equivalence adjacency, both persistent maps
+    /// the view shares with the router, so no per-query table is
+    /// built.
     ///
     /// # Errors
     ///
     /// [`HybridError::ShardRouting`] for ids the view does not know.
     pub fn stale_dovs(&self, cv: CellVersionId) -> HybridResult<Vec<DovId>> {
         let (cv_shard, local_cv) = self.resolve_cv(cv)?;
-        let rev = self.reverse_maps();
-        let mut cross: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (a, b) in self.router.cross_equivalences() {
-            cross.entry(*a).or_default().push(*b);
-            cross.entry(*b).or_default().push(*a);
-        }
+        let tables = &self.router.tables;
         let seeds: Vec<u64> = self.snaps[cv_shard]
             .dovs_under(local_cv)
             .into_iter()
-            .filter_map(|d| ShardView::vid_of(&rev, cv_shard, d.raw()))
+            .filter_map(|d| tables.vid_of(cv_shard, d.raw()))
             .collect();
         let stale = oms::graph::reachable(&seeds, |vid| {
             let mut out = Vec::new();
-            if let Some((shard, local)) = self.router.resolve(vid) {
+            if let Some((shard, local)) = tables.resolve(vid) {
                 for n in self.snaps[shard].impact_neighbors(DovId::from_raw(local)) {
-                    out.extend(ShardView::vid_of(&rev, shard, n));
+                    out.extend(tables.vid_of(shard, n));
                 }
             }
-            if let Some(glued) = cross.get(&vid) {
-                out.extend(glued.iter().copied());
+            if let Some(glued) = tables.equiv_adj.get(&vid) {
+                out.extend(glued.keys());
             }
             out
         });
@@ -2496,17 +2538,18 @@ impl ReadView for ShardView {
         cv: CellVersionId,
     ) -> HybridResult<Vec<(DesignObjectId, u32)>> {
         let (shard, local_cv) = self.resolve_cv(cv)?;
-        let rev = self.reverse_maps();
         let mut out = self.snaps[shard]
             .design_object_versions(local_cv)?
             .into_iter()
-            .map(|(d, count)| match ShardView::vid_of(&rev, shard, d.raw()) {
-                Some(vid) => Ok((DesignObjectId::from_raw(vid), count)),
-                None => Err(HybridError::ShardRouting(format!(
-                    "design object {} has no virtual id",
-                    d.raw()
-                ))),
-            })
+            .map(
+                |(d, count)| match self.router.tables.vid_of(shard, d.raw()) {
+                    Some(vid) => Ok((DesignObjectId::from_raw(vid), count)),
+                    None => Err(HybridError::ShardRouting(format!(
+                        "design object {} has no virtual id",
+                        d.raw()
+                    ))),
+                },
+            )
             .collect::<HybridResult<Vec<_>>>()?;
         out.sort_unstable_by_key(|(d, _)| *d);
         Ok(out)
@@ -2527,15 +2570,7 @@ impl ShardedService {
         let router = {
             let router = lock(&self.inner.router);
             RouterView {
-                forward: router.forward.clone(),
-                part_shard: router.part_shard.clone(),
-                partitions: router
-                    .parts
-                    .iter()
-                    .map(|(name, idx)| (name.clone(), *idx))
-                    .collect(),
-                comp_edges: router.comp_edges.clone(),
-                equiv_edges: router.equiv_edges.clone(),
+                tables: router.tables.clone(),
                 nshards: router.nshards,
                 seq: router.next_seq,
             }
@@ -2706,11 +2741,11 @@ mod tests {
             let view = b.service.view();
             assert_eq!(
                 view.router().cross_comp_edges(),
-                &[(cv_a.raw(), cell_b.raw())]
+                [(cv_a.raw(), cell_b.raw())]
             );
             assert_eq!(
                 view.router().cross_equivalences(),
-                &[(dov_a.raw(), dov_b.raw())]
+                [(dov_a.raw(), dov_b.raw())]
             );
             assert!(comp_seq < equiv_seq);
         }
@@ -2859,5 +2894,131 @@ mod tests {
                 "writer {w}'s cells on shard {shard}"
             );
         }
+    }
+
+    /// The per-query derivation the composed view ran before the
+    /// router kept its reverse maps and equivalence adjacency itself:
+    /// the oracle the maintained maps must equal.
+    fn assert_router_maps_match_oracle(service: &ShardedService, when: &str) {
+        let router = lock(&service.inner.router);
+        let tables = &router.tables;
+        let mut reverse: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); router.nshards];
+        for (vid, entry) in tables.forward.iter() {
+            match entry {
+                VirtEntry::Broadcast { locals } => {
+                    for (shard, local) in locals.iter().enumerate() {
+                        reverse[shard].insert(*local, vid);
+                    }
+                }
+                VirtEntry::Sharded { part, local } => {
+                    if let Some(shard) = tables.shard_of(*part) {
+                        reverse[shard].insert(*local, vid);
+                    }
+                }
+            }
+        }
+        for (shard, oracle) in reverse.iter().enumerate() {
+            let kept: BTreeMap<u64, u64> =
+                tables.reverse[shard].iter().map(|(k, v)| (k, *v)).collect();
+            assert_eq!(&kept, oracle, "{when}: reverse map of shard {shard}");
+        }
+        let mut adjacency: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+        for &(a, b) in tables.equiv_edges.values() {
+            adjacency.entry(a).or_default().insert(b);
+            adjacency.entry(b).or_default().insert(a);
+        }
+        let kept: BTreeMap<u64, BTreeSet<u64>> = tables
+            .equiv_adj
+            .iter()
+            .map(|(vid, partners)| (vid, partners.keys().collect()))
+            .collect();
+        assert_eq!(kept, adjacency, "{when}: equivalence adjacency");
+    }
+
+    #[test]
+    fn router_maintained_maps_equal_their_derivation_live_and_recovered() {
+        let b = bootstrap(2);
+        let alice = b.service.open_session(b.designer);
+        let admin = b.service.open_session(b.service.admin());
+        let mut rng = cad_vfs::SplitMix64::new(0x5EED_0A7E);
+        let mut fs = Vfs::new();
+        let root = VfsPath::root();
+        let mut cvs = Vec::new();
+        let mut cells = Vec::new();
+        let mut dovs = Vec::new();
+        let mut boundaries = Vec::new();
+        for k in 0..6 {
+            let (_, cell, cv, _, dov) = drawn_cell(&b, &format!("proj{k}"));
+            cells.push(cell);
+            cvs.push(cv);
+            dovs.push(dov);
+        }
+        b.service.checkpoint(&mut fs, &root).expect("checkpoint");
+        for step in 0..120 {
+            let pick = |rng: &mut cad_vfs::SplitMix64, n: usize| rng.below(n);
+            match rng.below(5) {
+                0 => {
+                    let (a, z) = (pick(&mut rng, dovs.len()), pick(&mut rng, dovs.len()));
+                    let _ = alice.mark_equivalent(dovs[a], dovs[z]);
+                }
+                1 => {
+                    let (a, z) = (pick(&mut rng, cvs.len()), pick(&mut rng, cells.len()));
+                    let _ = alice.declare_comp_of(cvs[a], cells[z]);
+                }
+                2 => {
+                    let _ = admin.add_user(&format!("user{step}"), false);
+                }
+                3 => {
+                    let (_, cell, cv, _, dov) = drawn_cell(&b, &format!("extra{step}"));
+                    cells.push(cell);
+                    cvs.push(cv);
+                    dovs.push(dov);
+                }
+                _ => {
+                    let _ = alice.create_project("proj0");
+                }
+            }
+            match rng.below(12) {
+                0 => b.service.checkpoint(&mut fs, &root).expect("checkpoint"),
+                1 | 2 => b.service.sync(&mut fs, &root).expect("sync"),
+                _ => continue,
+            }
+            boundaries.push(b.service.stats().seq - 1);
+        }
+        b.service.sync(&mut fs, &root).expect("sync");
+        assert!(!lock(&b.service.inner.router).tables.equiv_adj.is_empty());
+        assert_router_maps_match_oracle(&b.service, "live");
+        let (recovered, _) = ShardedService::recover(&mut fs, &root).expect("recover");
+        assert_router_maps_match_oracle(&recovered, "recover");
+        for seq in boundaries {
+            let (at, _) = ShardedService::recover_at(&mut fs, &root, seq).expect("recover_at");
+            assert_router_maps_match_oracle(&at, &format!("recover_at({seq})"));
+        }
+    }
+
+    #[test]
+    fn views_around_a_local_commit_share_the_router_tables() {
+        let b = bootstrap(2);
+        let (project, _, cv_a, _, dov_a) = drawn_cell(&b, "alu16");
+        let (_, cell_b, _, _, dov_b) = drawn_cell(&b, "dsp");
+        let alice = b.service.open_session(b.designer);
+        alice.declare_comp_of(cv_a, cell_b).expect("cross comp-of");
+        alice.mark_equivalent(dov_a, dov_b).expect("cross equiv");
+        let before = b.service.view();
+        alice.create_cell(project, "mux").expect("local commit");
+        let after = b.service.view();
+        assert!(
+            after.seq() > before.seq(),
+            "the commit published a new view"
+        );
+        let (was, now) = (&before.router().tables, &after.router().tables);
+        // What the commit did not touch is the same nodes, not a copy.
+        assert!(now.partitions.root_shared_with(&was.partitions));
+        assert!(now.comp_edges.root_shared_with(&was.comp_edges));
+        assert!(now.equiv_edges.root_shared_with(&was.equiv_edges));
+        assert!(now.equiv_adj.root_shared_with(&was.equiv_adj));
+        // The new cell registered a vid: those maps path-copied.
+        assert!(!now.forward.root_shared_with(&was.forward));
+        assert_eq!(now.forward.len(), was.forward.len() + 1);
     }
 }

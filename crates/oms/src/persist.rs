@@ -645,21 +645,30 @@ fn decode(encoded: &str) -> Option<Value> {
     }
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Lower-case hex of a byte string — the armour every image, delta
+/// and journal line uses for free-form text and payload bytes.
+pub fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
 
-fn unhex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+/// Decodes lower/upper-case hex; `None` on odd length or bad digits.
+pub fn unhex(s: &str) -> Option<Vec<u8>> {
+    fn digit(c: u8) -> Option<u8> {
+        char::from(c).to_digit(16).map(|d| d as u8)
+    }
+    let bytes = s.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?))
         .collect()
 }
 

@@ -16,6 +16,7 @@
 //! - [`fnv64`] / [`combine_fingerprints`]: the FNV-1a accumulator used
 //!   to fold several per-component fingerprints into one comparable
 //!   line.
+//! - [`load_host_tree`]: loads an on-disk backup fixture into a `Vfs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -100,6 +101,33 @@ where
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{h:016x}")
+}
+
+/// Copies the host directory `from` into the virtual directory `to`
+/// (created if missing), in sorted name order: how the durability
+/// suites load an on-disk backup fixture into a [`cad_vfs::Vfs`].
+///
+/// # Panics
+///
+/// On any host or virtual file system error — a fixture that does not
+/// load is a broken test.
+pub fn load_host_tree(fs: &mut cad_vfs::Vfs, from: &std::path::Path, to: &cad_vfs::VfsPath) {
+    fs.mkdir_all(to).unwrap();
+    let mut entries: Vec<_> = std::fs::read_dir(from)
+        .unwrap_or_else(|e| panic!("fixture {}: {e}", from.display()))
+        .map(|entry| entry.unwrap())
+        .collect();
+    entries.sort_by_key(|entry| entry.file_name());
+    for entry in entries {
+        let name = entry.file_name().into_string().unwrap();
+        let dest = to.join(&name).unwrap();
+        if entry.file_type().unwrap().is_dir() {
+            load_host_tree(fs, &entry.path(), &dest);
+        } else {
+            fs.write(&dest, std::fs::read(entry.path()).unwrap())
+                .unwrap();
+        }
+    }
 }
 
 #[cfg(test)]

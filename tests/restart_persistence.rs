@@ -159,6 +159,73 @@ fn sync_journal_before_the_first_checkpoint_is_refused_and_writes_nothing() {
 }
 
 #[test]
+fn a_chain_moved_to_another_disk_never_extends_the_old_one() {
+    let mut en = Engine::new();
+    let project = en.create_project("p").unwrap();
+    en.create_cell(project, "fa").unwrap();
+    let dir = VfsPath::parse("/backup").unwrap();
+    let (mut a, mut b) = (Vfs::new(), Vfs::new());
+    en.checkpoint(&mut a, &dir).unwrap();
+    en.create_cell(project, "ha").unwrap();
+
+    // A second, empty disk at the same path holds no chain to extend.
+    en.checkpoint(&mut b, &dir).unwrap();
+    let on_b = en.state_fingerprint().unwrap();
+    assert!(b
+        .read_dir(&dir)
+        .unwrap()
+        .iter()
+        .all(|name| !name.starts_with("delta-")));
+
+    // Back on disk A, whose manifest is not the chain the engine now
+    // extends: a full base, not a delta built on B's chain.
+    en.create_cell(project, "mux").unwrap();
+    en.checkpoint(&mut a, &dir).unwrap();
+    let on_a = en.state_fingerprint().unwrap();
+    assert_eq!(
+        Engine::restore_from(&mut a, &dir)
+            .unwrap()
+            .state_fingerprint()
+            .unwrap(),
+        on_a
+    );
+
+    // B is no longer this engine's chain either: a sync or compact
+    // there writes nothing, and B still restores to what it took.
+    en.create_cell(project, "reg").unwrap();
+    let before = b.read_dir(&dir).unwrap();
+    assert!(matches!(
+        en.sync_journal(&mut b, &dir),
+        Err(HybridError::Journal(_))
+    ));
+    assert_eq!(en.compact(&mut b, &dir).unwrap(), 0);
+    assert_eq!(b.read_dir(&dir).unwrap(), before);
+    assert_eq!(
+        Engine::restore_from(&mut b, &dir)
+            .unwrap()
+            .state_fingerprint()
+            .unwrap(),
+        on_b
+    );
+
+    // A still is: the next checkpoint there is a delta.
+    en.checkpoint(&mut a, &dir).unwrap();
+    let live = en.state_fingerprint().unwrap();
+    assert!(a
+        .read_dir(&dir)
+        .unwrap()
+        .iter()
+        .any(|name| name.starts_with("delta-")));
+    assert_eq!(
+        Engine::restore_from(&mut a, &dir)
+            .unwrap()
+            .state_fingerprint()
+            .unwrap(),
+        live
+    );
+}
+
+#[test]
 fn project_tree_renders_the_browser_view() {
     let mut jcf = Jcf::new();
     let admin = jcf.add_user("admin", true).unwrap();

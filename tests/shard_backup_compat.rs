@@ -107,29 +107,9 @@ fn script(backup: &mut Vfs, root: &VfsPath) -> (ShardedService, Vec<u64>) {
     (service, boundaries)
 }
 
-/// Copies the host directory `from` into the virtual directory `to`.
-fn load_tree(fs: &mut Vfs, from: &Path, to: &VfsPath) {
-    fs.mkdir_all(to).unwrap();
-    let mut entries: Vec<_> = std::fs::read_dir(from)
-        .unwrap_or_else(|e| panic!("fixture {}: {e}", from.display()))
-        .map(|entry| entry.unwrap())
-        .collect();
-    entries.sort_by_key(|entry| entry.file_name());
-    for entry in entries {
-        let name = entry.file_name().into_string().unwrap();
-        let dest = to.join(&name).unwrap();
-        if entry.file_type().unwrap().is_dir() {
-            load_tree(fs, &entry.path(), &dest);
-        } else {
-            fs.write(&dest, std::fs::read(entry.path()).unwrap())
-                .unwrap();
-        }
-    }
-}
-
 fn fixture_backup() -> Vfs {
     let mut backup = Vfs::new();
-    load_tree(
+    test_support::load_host_tree(
         &mut backup,
         Path::new(FIXTURE),
         &VfsPath::parse(ROOT).unwrap(),
