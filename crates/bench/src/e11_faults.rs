@@ -277,9 +277,10 @@ pub fn run(seed: u64) -> FaultSummary {
         .expect("utf-8 manifest")
         .lines()
         .find_map(|line| {
-            let rest = line.strip_prefix("open|id=")?;
-            let (id, _) = rest.split_once('|')?;
-            Some(format!("seg-{id}.log"))
+            let f = oms::persist::Fields::parse(line)
+                .ok()
+                .filter(|f| f.kind == "open")?;
+            Some(format!("seg-{}.log", f.num::<u64>("id").ok()?))
         })
         .expect("manifest records the open segment");
     let seg_path = dir.join(&open_seg).expect("join");

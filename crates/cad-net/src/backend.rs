@@ -6,14 +6,8 @@
 //! the single-engine [`Service`] and the partitioned
 //! [`ShardedService`] — the server code is identical for both.
 
-use std::sync::Arc;
-
-use hybrid::{Event, HybridResult, MirrorLocation, Op, Service, ShardedService};
+use hybrid::{Event, HybridResult, ImpactAnswer, Op, Service, ShardedService};
 use jcf::{CellVersionId, DovId, UserId};
-
-/// The impact-query answer: the full stale derivation cone, plus the
-/// FMCAD-mirrored subset with mirror coordinates.
-pub type ImpactAnswer = (Vec<DovId>, Vec<(DovId, Arc<MirrorLocation>)>);
 
 /// An op-executing engine the server can front.
 pub trait Backend: Send + Sync + 'static {
@@ -84,8 +78,7 @@ impl Backend for Service {
     }
 
     fn history_impact(&self, seq: u64, cv: CellVersionId) -> HybridResult<ImpactAnswer> {
-        let snap = self.at(seq)?;
-        Ok((snap.stale_dovs(cv), snap.impacted_cellviews(cv)))
+        Ok(self.at(seq)?.impact(cv))
     }
 }
 
@@ -119,7 +112,6 @@ impl Backend for ShardedService {
     }
 
     fn history_impact(&self, seq: u64, cv: CellVersionId) -> HybridResult<ImpactAnswer> {
-        let view = self.at(seq)?;
-        Ok((view.stale_dovs(cv)?, view.impacted_cellviews(cv)?))
+        self.at(seq)?.impact(cv)
     }
 }

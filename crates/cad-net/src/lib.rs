@@ -9,10 +9,11 @@
 //! length-delimited framing protocol:
 //!
 //! * **Framing** ([`proto`]): 4-byte big-endian length plus a one-line
-//!   `kind|field=value|...` UTF-8 payload in the same hex-armoured
-//!   style as the op journal. Ops and events cross the wire in their
-//!   canonical one-line forms, so the wire vocabulary tracks the
-//!   engine's command set automatically.
+//!   `kind|field=value|...` UTF-8 payload, written and read by the same
+//!   record codec as the op journal and every checkpoint file
+//!   (`oms::persist`: `assemble`, `Fields`, strict `hex`/`unhex`). Ops
+//!   and events cross the wire in their canonical one-line forms, so
+//!   the wire vocabulary tracks the engine's command set automatically.
 //! * **Handshake**: `hello` (protocol version + desktop user name) is
 //!   answered by `welcome` (session number, resolved user id, admin
 //!   flag) or a terminal typed `err`. Sessions are *bound* to the
@@ -45,7 +46,6 @@ mod client;
 pub mod policy;
 pub mod proto;
 mod server;
-mod wire;
 
 pub use backend::Backend;
 pub use client::{Client, Outcome, Reply};

@@ -4,9 +4,10 @@
 //!
 //! Every message travels as one *frame*: a 4-byte big-endian payload
 //! length followed by that many bytes of UTF-8. The payload is a
-//! one-line `kind|field=value|...` message in the same hex-armoured
-//! style as the hybrid op journal. Frames larger than the receiver's
-//! configured limit are rejected without being read.
+//! one-line `kind|field=value|...` message, assembled and parsed by
+//! the record codec of `oms::persist` that the hybrid op journal uses
+//! too, with free text and payloads hex-armoured. Frames larger than
+//! the receiver's configured limit are rejected without being read.
 //!
 //! # Handshake
 //!
@@ -40,8 +41,7 @@
 use std::io::{self, Read, Write};
 
 use hybrid::{Event, Op};
-
-use crate::wire::{assemble, enc_str, hex, unhex, Fields};
+use oms::persist::{assemble, enc_str, hex, unhex, Fields};
 
 /// The protocol version this crate speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -288,35 +288,31 @@ impl Request {
         let f = Fields::parse(payload).map_err(WireError::Malformed)?;
         match f.kind {
             "hello" => Ok(Request::Hello {
-                version: f.u32("version").map_err(WireError::Malformed)?,
+                version: f.num("version").map_err(WireError::Malformed)?,
                 user: f.str("user").map_err(WireError::Malformed)?,
             }),
             "op" => {
-                let id = f.u64("id").map_err(WireError::Malformed)?;
-                let armoured = f.get("op").map_err(WireError::Malformed)?;
-                let raw = unhex(armoured)
-                    .ok_or_else(|| WireError::Malformed("bad hex in \"op\"".to_owned()))?;
-                let line = String::from_utf8(raw)
-                    .map_err(|_| WireError::Malformed("op line is not utf-8".to_owned()))?;
+                let id = f.num("id").map_err(WireError::Malformed)?;
+                let line = f.str("op").map_err(WireError::Malformed)?;
                 let op = Op::parse_line(&line)
                     .map_err(|e| WireError::Malformed(format!("bad op: {e}")))?;
                 Ok(Request::Op { id, op })
             }
             "ping" => Ok(Request::Ping {
-                id: f.u64("id").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
             }),
             "history-retained" => Ok(Request::HistoryRetained {
-                id: f.u64("id").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
             }),
             "history-read" => Ok(Request::HistoryRead {
-                id: f.u64("id").map_err(WireError::Malformed)?,
-                seq: f.u64("seq").map_err(WireError::Malformed)?,
-                dov: f.u64("dov").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
+                seq: f.num("seq").map_err(WireError::Malformed)?,
+                dov: f.num("dov").map_err(WireError::Malformed)?,
             }),
             "history-impact" => Ok(Request::HistoryImpact {
-                id: f.u64("id").map_err(WireError::Malformed)?,
-                seq: f.u64("seq").map_err(WireError::Malformed)?,
-                cv: f.u64("cv").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
+                seq: f.num("seq").map_err(WireError::Malformed)?,
+                cv: f.num("cv").map_err(WireError::Malformed)?,
             }),
             "bye" => Ok(Request::Bye),
             other => Err(WireError::Malformed(format!("unknown request {other:?}"))),
@@ -563,49 +559,42 @@ impl Response {
         let f = Fields::parse(payload).map_err(WireError::Malformed)?;
         match f.kind {
             "welcome" => Ok(Response::Welcome {
-                version: f.u32("version").map_err(WireError::Malformed)?,
-                session: f.u64("session").map_err(WireError::Malformed)?,
-                user: f.u64("user").map_err(WireError::Malformed)?,
-                admin: f.bool("admin").map_err(WireError::Malformed)?,
+                version: f.num("version").map_err(WireError::Malformed)?,
+                session: f.num("session").map_err(WireError::Malformed)?,
+                user: f.num("user").map_err(WireError::Malformed)?,
+                admin: f.num("admin").map_err(WireError::Malformed)?,
             }),
             "ok" => {
-                let id = f.u64("id").map_err(WireError::Malformed)?;
-                let seq = f.u64("seq").map_err(WireError::Malformed)?;
-                let armoured = f.get("event").map_err(WireError::Malformed)?;
-                let raw = unhex(armoured)
-                    .ok_or_else(|| WireError::Malformed("bad hex in \"event\"".to_owned()))?;
-                let line = String::from_utf8(raw)
-                    .map_err(|_| WireError::Malformed("event line is not utf-8".to_owned()))?;
+                let id = f.num("id").map_err(WireError::Malformed)?;
+                let seq = f.num("seq").map_err(WireError::Malformed)?;
+                let line = f.str("event").map_err(WireError::Malformed)?;
                 let event = Event::parse_line(&line)
                     .map_err(|e| WireError::Malformed(format!("bad event: {e}")))?;
                 Ok(Response::Ok { id, seq, event })
             }
             "fail" => Ok(Response::Fail {
-                id: f.u64("id").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
                 kind: f.str("kind").map_err(WireError::Malformed)?,
                 msg: f.str("msg").map_err(WireError::Malformed)?,
             }),
             "busy" => Ok(Response::Busy {
-                id: f.u64("id").map_err(WireError::Malformed)?,
-                depth: f.u64("depth").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
+                depth: f.num("depth").map_err(WireError::Malformed)?,
             }),
             "pong" => Ok(Response::Pong {
-                id: f.u64("id").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
             }),
             "retained" => Ok(Response::Retained {
-                id: f.u64("id").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
                 seqs: parse_u64_list(f.get("seqs").map_err(WireError::Malformed)?)
                     .map_err(WireError::Malformed)?,
             }),
-            "data" => {
-                let id = f.u64("id").map_err(WireError::Malformed)?;
-                let armoured = f.get("data").map_err(WireError::Malformed)?;
-                let data = unhex(armoured)
-                    .ok_or_else(|| WireError::Malformed("bad hex in \"data\"".to_owned()))?;
-                Ok(Response::Data { id, data })
-            }
+            "data" => Ok(Response::Data {
+                id: f.num("id").map_err(WireError::Malformed)?,
+                data: f.bytes("data").map_err(WireError::Malformed)?,
+            }),
             "impact" => Ok(Response::Impact {
-                id: f.u64("id").map_err(WireError::Malformed)?,
+                id: f.num("id").map_err(WireError::Malformed)?,
                 stale: parse_u64_list(f.get("stale").map_err(WireError::Malformed)?)
                     .map_err(WireError::Malformed)?,
                 impacted: parse_impacted(f.get("impacted").map_err(WireError::Malformed)?)

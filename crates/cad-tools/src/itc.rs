@@ -25,14 +25,40 @@ pub enum ToolKind {
     Framework,
 }
 
-impl fmt::Display for ToolKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl ToolKind {
+    const ALL: [ToolKind; 4] = [
+        ToolKind::SchematicEntry,
+        ToolKind::LayoutEditor,
+        ToolKind::Simulator,
+        ToolKind::Framework,
+    ];
+
+    /// The stable name the journal, the checkpoint images and the wire
+    /// all use: the one name table, read back by [`FromStr`](std::str::FromStr).
+    fn name(self) -> &'static str {
+        match self {
             ToolKind::SchematicEntry => "schematic-entry",
             ToolKind::LayoutEditor => "layout-editor",
             ToolKind::Simulator => "simulator",
             ToolKind::Framework => "framework",
-        })
+        }
+    }
+}
+
+impl fmt::Display for ToolKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for ToolKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ToolKind, String> {
+        ToolKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == s)
+            .ok_or_else(|| format!("unknown tool kind {s:?}"))
     }
 }
 
@@ -148,6 +174,14 @@ impl ItcBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tool_kind_names_parse_back() {
+        for kind in ToolKind::ALL {
+            assert_eq!(kind.to_string().parse::<ToolKind>(), Ok(kind));
+        }
+        assert!("editor".parse::<ToolKind>().is_err());
+    }
 
     #[test]
     fn publish_reaches_all_other_subscribers() {

@@ -163,7 +163,7 @@ impl EngineBuilder {
         if let Some(plan) = self.fault_plan {
             hy.fmcad().fs_ref().arm_faults(plan);
         }
-        Engine::assemble(hy, TraceSink::new(self.trace_capacity), self.sinks)
+        Engine::from_hybrid(hy, TraceSink::new(self.trace_capacity), self.sinks)
     }
 }
 

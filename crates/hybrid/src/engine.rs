@@ -27,9 +27,9 @@ use jcf::{
     ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
     Jcf, ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
 };
+use oms::persist::{hex, unhex, Fields};
 use oms::{DiffEntry, PMap, PmapKey};
 
-use crate::codec::{hex, unhex};
 use crate::consistency::ConsistencyFinding;
 use crate::encapsulation::{ToolOutput, ToolSession};
 use crate::error::{HybridError, HybridResult};
@@ -145,7 +145,7 @@ impl Engine {
     /// [`Hybrid`] for what the bootstrap registers). The bootstrap is
     /// part of construction, not of the journal.
     pub fn new() -> Engine {
-        Engine::assemble(Hybrid::new(), TraceSink::default(), Vec::new())
+        Engine::from_hybrid(Hybrid::new(), TraceSink::default(), Vec::new())
     }
 
     /// Starts an [`EngineBuilder`](crate::EngineBuilder), the preferred
@@ -158,7 +158,7 @@ impl Engine {
     /// Assembles an engine around an already-configured [`Hybrid`]
     /// installation. The journal starts empty: whatever configuration
     /// the builder applied is construction, not history.
-    pub(crate) fn assemble(
+    pub(crate) fn from_hybrid(
         hy: Hybrid,
         trace: TraceSink,
         extra: Vec<Box<dyn EventSink + Send>>,
@@ -1274,25 +1274,6 @@ fn parse_num<T: std::str::FromStr>(raw: &str, line: &str) -> HybridResult<T> {
     raw.parse().map_err(|_| bad(line))
 }
 
-fn kind_str(kind: ToolKind) -> &'static str {
-    match kind {
-        ToolKind::SchematicEntry => "schematic-entry",
-        ToolKind::LayoutEditor => "layout-editor",
-        ToolKind::Simulator => "simulator",
-        ToolKind::Framework => "framework",
-    }
-}
-
-fn parse_kind(raw: &str, line: &str) -> HybridResult<ToolKind> {
-    match raw {
-        "schematic-entry" => Ok(ToolKind::SchematicEntry),
-        "layout-editor" => Ok(ToolKind::LayoutEditor),
-        "simulator" => Ok(ToolKind::Simulator),
-        "framework" => Ok(ToolKind::Framework),
-        _ => Err(bad(line)),
-    }
-}
-
 /// Serialises a whole virtual file system from an already-completed
 /// [`fs_scan`]: every directory and file (bytes hex-armoured), then the
 /// clock and the cost meter — captured *after* the reads, so a restored
@@ -1307,28 +1288,35 @@ fn fs_image_from_scan(fs: &Vfs, scan: &[ScanEntry]) -> String {
                 image.push_str(&format!("dir {}\n", hex(path.as_bytes())));
             }
             ScanEntry::File(path, blob) => {
-                image.push_str(&format!(
-                    "file {} {}\n",
-                    hex(path.as_bytes()),
-                    hex(blob.as_slice())
-                ));
+                image.push_str(&format!("file {} {}\n", hex(path.as_bytes()), hex(blob)));
             }
         }
     }
-    let meter = fs.meter();
-    image.push_str(&format!("clock {}\n", fs.now()));
-    image.push_str(&format!(
-        "meter {} {} {} {} {}\n",
-        meter.ticks, meter.bytes_read, meter.bytes_written, meter.content_ops, meter.metadata_ops
-    ));
+    push_clock_meter(&mut image, "", fs.now(), &fs.meter());
     image
 }
 
-/// Rebuilds a virtual file system from [`fs_image_from_scan`] output.
-/// The
-/// recorded meter and clock are returned separately so the caller can
-/// install them *after* re-opening FMCAD over the tree (which charges
-/// its own parse reads).
+/// The `meter` record: the five cost-meter counters.
+fn meter_record(meter: &CostMeter) -> String {
+    format!(
+        "meter {} {} {} {} {}",
+        meter.ticks, meter.bytes_read, meter.bytes_written, meter.content_ops, meter.metadata_ops
+    )
+}
+
+/// Appends the `clock` and `meter` records that close an FMCAD image
+/// or delta section, each line behind `prefix`.
+fn push_clock_meter(out: &mut String, prefix: &str, clock: u64, meter: &CostMeter) {
+    out.push_str(&format!(
+        "{prefix}clock {clock}\n{prefix}{}\n",
+        meter_record(meter)
+    ));
+}
+
+/// Rebuilds a virtual file system from [`fs_image_from_scan`] output:
+/// its records applied to an empty tree. The recorded meter and clock
+/// are returned separately so the caller can install them *after*
+/// re-opening FMCAD over the tree (which charges its own parse reads).
 fn restore_fs(image: &str) -> HybridResult<(Vfs, CostMeter, u64)> {
     let mut lines = image.lines();
     if lines.next() != Some(FS_MAGIC) {
@@ -1337,42 +1325,8 @@ fn restore_fs(image: &str) -> HybridResult<(Vfs, CostMeter, u64)> {
         ));
     }
     let mut fs = Vfs::new();
-    let mut meter = CostMeter::new();
-    let mut clock = 0;
-    for line in lines {
-        let (tag, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
-        match tag {
-            "dir" => {
-                let path = VfsPath::parse(&unhex_str(rest)?)?;
-                fs.mkdir_all(&path)?;
-            }
-            "file" => {
-                let (raw_path, raw_data) = rest.split_once(' ').ok_or_else(|| bad(line))?;
-                let path = VfsPath::parse(&unhex_str(raw_path)?)?;
-                let data = unhex(raw_data).ok_or_else(|| bad(line))?;
-                if let Some(parent) = path.parent() {
-                    fs.mkdir_all(&parent)?;
-                }
-                fs.write(&path, data)?;
-            }
-            "clock" => clock = parse_num(rest, line)?,
-            "meter" => {
-                let fields: Vec<&str> = rest.split(' ').collect();
-                if fields.len() != 5 {
-                    return Err(bad(line));
-                }
-                meter = CostMeter {
-                    ticks: parse_num(fields[0], line)?,
-                    bytes_read: parse_num(fields[1], line)?,
-                    bytes_written: parse_num(fields[2], line)?,
-                    content_ops: parse_num(fields[3], line)?,
-                    metadata_ops: parse_num(fields[4], line)?,
-                };
-            }
-            _ => return Err(bad(line)),
-        }
-    }
-    Ok((fs, meter, clock))
+    let (clock, meter) = apply_fs_records(&mut fs, lines, FsRecords::Image)?;
+    Ok((fs, meter.unwrap_or_default(), clock.unwrap_or(0)))
 }
 
 /// One node of a deterministic pre-order file-system walk.
@@ -1414,56 +1368,65 @@ fn fs_scan(fs: &Vfs) -> HybridResult<Vec<ScanEntry>> {
 /// path names; creations follow, parents first. Reads nothing, so it
 /// charges nothing.
 fn fs_delta_section(changes: &[Change], clock: u64, meter: &CostMeter, out: &mut String) {
+    let path = |p: &VfsPath| hex(p.to_string().as_bytes());
     for change in changes {
         match change {
-            Change::Removed(path) => {
-                out.push_str(&format!("f|del {}\n", hex(path.to_string().as_bytes())));
+            Change::Removed(p) => out.push_str(&format!("f|del {}\n", path(p))),
+            Change::Dir(p) => out.push_str(&format!("f|dir+ {}\n", path(p))),
+            Change::File(p, blob) => {
+                out.push_str(&format!("f|file {} {}\n", path(p), hex(blob)));
             }
-            Change::Dir(path) => {
-                out.push_str(&format!("f|dir+ {}\n", hex(path.to_string().as_bytes())));
-            }
-            Change::File(path, blob) => out.push_str(&format!(
-                "f|file {} {}\n",
-                hex(path.to_string().as_bytes()),
-                hex(blob.as_slice())
-            )),
         }
     }
-    out.push_str(&format!("f|clock {clock}\n"));
-    out.push_str(&format!(
-        "f|meter {} {} {} {} {}\n",
-        meter.ticks, meter.bytes_read, meter.bytes_written, meter.content_ops, meter.metadata_ops
-    ));
+    push_clock_meter(out, "f|", clock, meter);
 }
 
 /// Applies the `f|` records of a delta checkpoint to the chain-head
 /// tree, returning the recorded clock and meter (installed into FMCAD
 /// only after the re-open, like a full restore does).
 fn apply_fs_delta(fs: &mut Vfs, records: &[String]) -> HybridResult<(u64, CostMeter)> {
+    match apply_fs_records(fs, records.iter().map(String::as_str), FsRecords::Delta)? {
+        (Some(c), Some(m)) => Ok((c, m)),
+        _ => Err(HybridError::DeltaChain(
+            "delta checkpoint is missing its clock/meter record".to_owned(),
+        )),
+    }
+}
+
+/// The tag set of an FMCAD record list: a whole image carries `dir`
+/// records, a delta `del`, `dir-` and `dir+`; both carry `file`,
+/// `clock` and `meter`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum FsRecords {
+    Image,
+    Delta,
+}
+
+/// Applies FMCAD records to `fs` — the one reader of the image and
+/// the delta grammar — and returns the clock and meter they record.
+fn apply_fs_records<'a>(
+    fs: &mut Vfs,
+    lines: impl Iterator<Item = &'a str>,
+    records: FsRecords,
+) -> HybridResult<(Option<u64>, Option<CostMeter>)> {
     let mut clock = None;
     let mut meter = None;
-    for line in records {
+    for line in lines {
         let (tag, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
-        match tag {
+        match (tag, records) {
+            ("dir", FsRecords::Image) | ("dir+", FsRecords::Delta) => {
+                fs.mkdir_all(&VfsPath::parse(&unhex_str(rest)?)?)?;
+            }
             // Removes whatever node is there. v1 deltas named only
             // files; a v2 delta names every path its change window saw
             // removed, directories included.
-            "del" => {
+            ("del" | "dir-", FsRecords::Delta) => {
                 let path = VfsPath::parse(&unhex_str(rest)?)?;
                 if fs.exists(&path) {
                     fs.remove_all(&path)?;
                 }
             }
-            "dir-" => {
-                let path = VfsPath::parse(&unhex_str(rest)?)?;
-                if fs.exists(&path) {
-                    fs.remove_all(&path)?;
-                }
-            }
-            "dir+" => {
-                fs.mkdir_all(&VfsPath::parse(&unhex_str(rest)?)?)?;
-            }
-            "file" => {
+            ("file", _) => {
                 let (raw_path, raw_data) = rest.split_once(' ').ok_or_else(|| bad(line))?;
                 let path = VfsPath::parse(&unhex_str(raw_path)?)?;
                 let data = unhex(raw_data).ok_or_else(|| bad(line))?;
@@ -1472,29 +1435,25 @@ fn apply_fs_delta(fs: &mut Vfs, records: &[String]) -> HybridResult<(u64, CostMe
                 }
                 fs.write(&path, data)?;
             }
-            "clock" => clock = Some(parse_num(rest, line)?),
-            "meter" => {
+            ("clock", _) => clock = Some(parse_num(rest, line)?),
+            ("meter", _) => {
                 let fields: Vec<&str> = rest.split(' ').collect();
-                if fields.len() != 5 {
+                let [ticks, bytes_read, bytes_written, content_ops, metadata_ops] = fields[..]
+                else {
                     return Err(bad(line));
-                }
+                };
                 meter = Some(CostMeter {
-                    ticks: parse_num(fields[0], line)?,
-                    bytes_read: parse_num(fields[1], line)?,
-                    bytes_written: parse_num(fields[2], line)?,
-                    content_ops: parse_num(fields[3], line)?,
-                    metadata_ops: parse_num(fields[4], line)?,
+                    ticks: parse_num(ticks, line)?,
+                    bytes_read: parse_num(bytes_read, line)?,
+                    bytes_written: parse_num(bytes_written, line)?,
+                    content_ops: parse_num(content_ops, line)?,
+                    metadata_ops: parse_num(metadata_ops, line)?,
                 });
             }
             _ => return Err(bad(line)),
         }
     }
-    match (clock, meter) {
-        (Some(c), Some(m)) => Ok((c, m)),
-        _ => Err(HybridError::DeltaChain(
-            "delta checkpoint is missing its clock/meter record".to_owned(),
-        )),
-    }
+    Ok((clock, meter))
 }
 
 /// The meta section of a delta checkpoint.
@@ -1585,27 +1544,10 @@ impl Manifest {
         out
     }
 
+    /// Parses `ck.manifest`. Every record has the one field layout
+    /// [`Manifest::render`] writes; reordered, missing or extra fields
+    /// are refused.
     fn parse(text: &str) -> HybridResult<Manifest> {
-        fn field(raw: &str, key: &str, line: &str) -> HybridResult<String> {
-            raw.strip_prefix(key)
-                .and_then(|r| r.strip_prefix('='))
-                .map(str::to_owned)
-                .ok_or_else(|| {
-                    HybridError::DeltaChain(format!("manifest: expected `{key}=` in {line:?}"))
-                })
-        }
-        fn num(raw: &str, key: &str, line: &str) -> HybridResult<u64> {
-            let val = field(raw, key, line)?;
-            val.parse()
-                .map_err(|_| HybridError::DeltaChain(format!("manifest: bad number in {line:?}")))
-        }
-        fn hexnum(raw: &str, key: &str, line: &str) -> HybridResult<u64> {
-            let val = field(raw, key, line)?;
-            u64::from_str_radix(&val, 16).map_err(|_| {
-                HybridError::DeltaChain(format!("manifest: bad fingerprint in {line:?}"))
-            })
-        }
-
         let mut lines = text.lines();
         if lines.next() != Some(CK_MAGIC) {
             return Err(HybridError::DeltaChain("manifest: bad header".to_owned()));
@@ -1615,41 +1557,48 @@ impl Manifest {
         let mut segs = Vec::new();
         let mut open = None;
         for line in lines {
-            let parts: Vec<&str> = line.split('|').collect();
-            match parts.as_slice() {
-                ["base", seq, fp] => {
-                    base = Some((num(seq, "seq", line)?, hexnum(fp, "fp", line)?));
+            let mut record = || -> Result<(), String> {
+                let f = Fields::parse(line)?;
+                let fp = || {
+                    u64::from_str_radix(f.get("fp")?, 16).map_err(|_| "bad fingerprint".to_owned())
+                };
+                match f.kind {
+                    "base" => {
+                        f.expect_keys(&["seq", "fp"])?;
+                        base = Some((f.num("seq")?, fp()?));
+                    }
+                    "delta" => {
+                        f.expect_keys(&["id", "seq", "parent", "fp"])?;
+                        deltas.push(DeltaRec {
+                            id: f.num("id")?,
+                            seq: f.num("seq")?,
+                            parent: f.num("parent")?,
+                            fp: fp()?,
+                        });
+                    }
+                    "seg" => {
+                        f.expect_keys(&["id", "start", "end", "fp", "state"])?;
+                        segs.push(SegRec {
+                            id: f.num("id")?,
+                            start: f.num("start")?,
+                            end: f.num("end")?,
+                            fp: fp()?,
+                            retired: match f.get("state")? {
+                                "retired" => true,
+                                "live" => false,
+                                other => return Err(format!("unknown segment state {other:?}")),
+                            },
+                        });
+                    }
+                    "open" => {
+                        f.expect_keys(&["id", "start"])?;
+                        open = Some((f.num("id")?, f.num("start")?));
+                    }
+                    other => return Err(format!("unrecognised record {other:?}")),
                 }
-                ["delta", id, seq, parent, fp] => deltas.push(DeltaRec {
-                    id: num(id, "id", line)?,
-                    seq: num(seq, "seq", line)?,
-                    parent: num(parent, "parent", line)?,
-                    fp: hexnum(fp, "fp", line)?,
-                }),
-                ["seg", id, start, end, fp, state] => segs.push(SegRec {
-                    id: num(id, "id", line)?,
-                    start: num(start, "start", line)?,
-                    end: num(end, "end", line)?,
-                    fp: hexnum(fp, "fp", line)?,
-                    retired: match field(state, "state", line)?.as_str() {
-                        "retired" => true,
-                        "live" => false,
-                        other => {
-                            return Err(HybridError::DeltaChain(format!(
-                                "manifest: unknown segment state {other:?}"
-                            )))
-                        }
-                    },
-                }),
-                ["open", id, start] => {
-                    open = Some((num(id, "id", line)?, num(start, "start", line)?));
-                }
-                _ => {
-                    return Err(HybridError::DeltaChain(format!(
-                        "manifest: unrecognised line {line:?}"
-                    )))
-                }
-            }
+                Ok(())
+            };
+            record().map_err(|e| HybridError::DeltaChain(format!("manifest: {e} in {line:?}")))?;
         }
         let (base_seq, base_fp) = base
             .ok_or_else(|| HybridError::DeltaChain("manifest: missing base record".to_owned()))?;
@@ -1692,29 +1641,16 @@ fn parse_segment(fs: &Vfs, path: &VfsPath) -> HybridResult<Segment> {
         )));
     }
     let header = entries.remove(0);
-    let parts: Vec<&str> = header.split('|').collect();
-    let (id, start) = match parts.as_slice() {
-        ["@seg", id, start] => {
-            let id = id
-                .strip_prefix("id=")
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| {
-                    HybridError::DeltaChain(format!("segment {path}: bad header {header:?}"))
-                })?;
-            let start = start
-                .strip_prefix("start=")
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| {
-                    HybridError::DeltaChain(format!("segment {path}: bad header {header:?}"))
-                })?;
-            (id, start)
+    let parsed = Fields::parse(&header).and_then(|f| {
+        if f.kind != "@seg" {
+            return Err(format!("unknown kind {:?}", f.kind));
         }
-        _ => {
-            return Err(HybridError::DeltaChain(format!(
-                "segment {path}: bad header {header:?}"
-            )))
-        }
-    };
+        f.expect_keys(&["id", "start"])?;
+        Ok((f.num("id")?, f.num("start")?))
+    });
+    let (id, start) = parsed.map_err(|e| {
+        HybridError::DeltaChain(format!("segment {path}: bad header {header:?}: {e}"))
+    })?;
     Ok(Segment {
         id,
         start,
@@ -1904,14 +1840,10 @@ impl Engine {
     /// the full text and by every delta (a handful of lines each).
     fn meta_registries(&self, out: &mut String) {
         for (name, kind) in &self.hy.viewtype_apps {
-            out.push_str(&format!(
-                "viewtype-app {} {}\n",
-                hex(name.as_bytes()),
-                kind_str(*kind)
-            ));
+            out.push_str(&format!("viewtype-app {} {kind}\n", hex(name.as_bytes())));
         }
         for (id, kind) in &self.hy.tool_kinds {
-            out.push_str(&format!("tool {} {}\n", id.raw(), kind_str(*kind)));
+            out.push_str(&format!("tool {} {kind}\n", id.raw()));
         }
     }
 
@@ -2126,12 +2058,12 @@ fn fold_meta<'a>(meta: &mut MetaState, lines: impl Iterator<Item = &'a str>) -> 
             }
             ("viewtype-app", [name, kind]) => {
                 meta.viewtype_apps
-                    .insert(unhex_str(name)?, parse_kind(kind, line)?);
+                    .insert(unhex_str(name)?, parse_num(kind, line)?);
             }
             ("tool", [raw, kind]) => {
                 meta.tool_kinds.insert(
                     ToolId::from_raw(parse_num(raw, line)?),
-                    parse_kind(kind, line)?,
+                    parse_num(kind, line)?,
                 );
             }
             ("dov-mirror", [raw, lib, cell, view, version]) => {
@@ -3227,17 +3159,7 @@ impl Engine {
     /// Returns file system errors from the walk.
     pub fn state_fingerprint(&self) -> HybridResult<String> {
         let fs = self.hy.fmcad.fs_ref();
-        let meter = fs.meter();
-        let mut s = String::new();
-        s.push_str(&format!(
-            "meter {} {} {} {} {}\n",
-            meter.ticks,
-            meter.bytes_read,
-            meter.bytes_written,
-            meter.content_ops,
-            meter.metadata_ops
-        ));
-        s.push_str(&format!("fs-clock {}\n", fs.now()));
+        let mut s = format!("{}\nfs-clock {}\n", meter_record(&fs.meter()), fs.now());
         s.push_str(&self.meta_text());
         s.push_str("oms\n");
         s.push_str(&oms::persist::dump(self.hy.jcf.database()));
@@ -3320,6 +3242,44 @@ mod tests {
             restored.state_fingerprint().unwrap(),
             en.state_fingerprint().unwrap()
         );
+    }
+
+    /// The private records of the recorded chain fixtures — manifests,
+    /// segment headers and whole FMCAD images — parse and re-render to
+    /// the bytes on disk.
+    #[test]
+    fn fixture_records_re_render_byte_for_byte() {
+        let fixtures =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+        for chain in [
+            "engine_chain_v1/chain",
+            "sharded_backup_with_op_segments/shard-0",
+            "sharded_backup_with_op_segments/shard-1",
+        ] {
+            let dir = fixtures.join(chain);
+            let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+            let manifest = read(CK_MANIFEST);
+            assert_eq!(Manifest::parse(&manifest).unwrap().render(), manifest);
+
+            let image = read(FS_IMG);
+            let (mut fs, meter, clock) = restore_fs(&image).unwrap();
+            let scan = fs_scan(&fs).unwrap();
+            fs.restore_meter(meter);
+            fs.restore_clock(clock);
+            assert_eq!(fs_image_from_scan(&fs, &scan), image, "{chain}");
+
+            let mut disk = Vfs::new();
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let name = entry.unwrap().file_name().into_string().unwrap();
+                if name.starts_with("seg-") {
+                    let path = VfsPath::parse(&format!("/{name}")).unwrap();
+                    disk.write(&path, read(&name).into_bytes()).unwrap();
+                    let seg = parse_segment(&disk, &path).unwrap();
+                    let header = read(&name).lines().nth(1).unwrap().to_owned();
+                    assert_eq!(seg_header(seg.id, seg.start), header, "{chain}/{name}");
+                }
+            }
+        }
     }
 
     #[test]

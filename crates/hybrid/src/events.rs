@@ -218,8 +218,8 @@ impl Event {
 // in the same one-line `kind|field=value` form as the ops journal, so
 // a wire response is exactly one hex-armoured line inside one frame.
 
-use crate::codec::{assemble, enc_blob, enc_ids, enc_str, Fields};
 use cad_tools::LvsViolation;
+use oms::persist::{assemble, enc_ids, enc_str, hex, unhex, Fields};
 
 fn enc_manifest(m: &ExportManifest) -> Vec<(&'static str, String)> {
     let files = m
@@ -239,10 +239,9 @@ fn parse_manifest(f: &Fields<'_>) -> Result<ExportManifest, String> {
             let (name, bytes) = pair
                 .split_once(':')
                 .ok_or_else(|| "bad manifest entry".to_owned())?;
-            let name = String::from_utf8(
-                crate::codec::unhex(name).ok_or_else(|| "bad manifest name hex".to_owned())?,
-            )
-            .map_err(|_| "manifest name is not utf-8".to_owned())?;
+            let name =
+                String::from_utf8(unhex(name).ok_or_else(|| "bad manifest name hex".to_owned())?)
+                    .map_err(|_| "manifest name is not utf-8".to_owned())?;
             let bytes: u64 = bytes
                 .parse()
                 .map_err(|_| "bad manifest byte count".to_owned())?;
@@ -251,7 +250,7 @@ fn parse_manifest(f: &Fields<'_>) -> Result<ExportManifest, String> {
     }
     Ok(ExportManifest {
         files,
-        total_bytes: f.u64("total")?,
+        total_bytes: f.num("total")?,
     })
 }
 
@@ -278,7 +277,7 @@ fn enc_lvs(report: &LvsReport) -> Vec<(&'static str, String)> {
 
 fn parse_lvs(f: &Fields<'_>) -> Result<LvsReport, String> {
     let dec_str = |raw: &str| -> Result<String, String> {
-        String::from_utf8(crate::codec::unhex(raw).ok_or_else(|| "bad lvs hex".to_owned())?)
+        String::from_utf8(unhex(raw).ok_or_else(|| "bad lvs hex".to_owned())?)
             .map_err(|_| "lvs name is not utf-8".to_owned())
     };
     let raw = f.get("violations")?;
@@ -318,7 +317,7 @@ fn parse_lvs(f: &Fields<'_>) -> Result<LvsReport, String> {
     }
     Ok(LvsReport {
         violations,
-        matched_nets: f.usize("matched")?,
+        matched_nets: f.num("matched")?,
     })
 }
 
@@ -448,7 +447,7 @@ impl Event {
                 f.push(("conflicts", enc_conflicts(conflicts)));
             }
             Event::Browsed { data } | Event::DesignDataRead { data } => {
-                f.push(("data", enc_blob(data)));
+                f.push(("data", hex(data)));
             }
             Event::ConfigurationCreated(id) => f.push(("id", id.raw().to_string())),
             Event::ConfigVersionCreated(id) => f.push(("id", id.raw().to_string())),
@@ -468,7 +467,7 @@ impl Event {
                 f.push(("versions", report.versions.to_string()));
                 f.push(("bytes_copied", report.bytes_copied.to_string()));
             }
-            Event::FmcadCheckedOut { data } => f.push(("data", enc_blob(data))),
+            Event::FmcadCheckedOut { data } => f.push(("data", hex(data))),
             Event::FmcadCheckedIn { version } => f.push(("version", version.to_string())),
         }
         assemble(self.kind_name(), &f)
@@ -554,10 +553,10 @@ impl Event {
             "library-imported" => Event::LibraryImported(
                 f.id("project", ProjectId::from_raw)?,
                 ImportReport {
-                    cells: f.usize("cells")?,
-                    design_objects: f.usize("design_objects")?,
-                    versions: f.usize("versions")?,
-                    bytes_copied: f.u64("bytes_copied")?,
+                    cells: f.num("cells")?,
+                    design_objects: f.num("design_objects")?,
+                    versions: f.num("versions")?,
+                    bytes_copied: f.num("bytes_copied")?,
                 },
             ),
             "fmcad-library-created" => Event::FmcadLibraryCreated,
@@ -567,7 +566,7 @@ impl Event {
                 data: f.blob("data")?,
             },
             "fmcad-checked-in" => Event::FmcadCheckedIn {
-                version: f.u32("version")?,
+                version: f.num("version")?,
             },
             "fmcad-version-purged" => Event::FmcadVersionPurged,
             "fmcad-file-written" => Event::FmcadFileWritten,

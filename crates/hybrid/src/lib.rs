@@ -73,7 +73,6 @@
 #![deny(clippy::redundant_clone)]
 
 mod builder;
-mod codec;
 mod consistency;
 mod encapsulation;
 mod engine;
@@ -111,4 +110,4 @@ pub use shard::{
     shard_of_name, RouterView, ShardLaneStats, ShardStats, ShardView, ShardedService,
     ShardedServiceBuilder, ShardedSession, VIRT_BASE,
 };
-pub use snapshot::Snapshot;
+pub use snapshot::{ImpactAnswer, Snapshot};

@@ -578,7 +578,7 @@ impl Op {
 
 // --- line codec -------------------------------------------------------------
 
-use crate::codec::{enc_blob, enc_ids, enc_kind, enc_str, unhex, Fields};
+use oms::persist::{assemble, enc_ids, enc_str, hex, unhex, Fields};
 
 impl Op {
     /// Serialises the operation into its one-line journal form:
@@ -602,11 +602,11 @@ impl Op {
             }
             Op::RegisterViewtype { name, application } => {
                 f.push(("name", enc_str(name)));
-                f.push(("application", enc_kind(*application).to_owned()));
+                f.push(("application", application.to_string()));
             }
             Op::RegisterTool { name, kind } => {
                 f.push(("name", enc_str(name)));
-                f.push(("kind", enc_kind(*kind).to_owned()));
+                f.push(("kind", kind.to_string()));
             }
             Op::DefineStandardFlow { name } | Op::DefineQualityGatedFlow { name } => {
                 f.push(("name", enc_str(name)));
@@ -697,7 +697,7 @@ impl Op {
             } => {
                 f.push(("user", user.raw().to_string()));
                 f.push(("design_object", design_object.raw().to_string()));
-                f.push(("data", enc_blob(data)));
+                f.push(("data", hex(data)));
             }
             Op::MarkEquivalent { a, b } => {
                 f.push(("a", a.raw().to_string()));
@@ -721,7 +721,7 @@ impl Op {
                 f.push(("expected", exp));
                 let wr = writes
                     .iter()
-                    .map(|(d, data)| format!("{}:{}", d.raw(), enc_blob(data)))
+                    .map(|(d, data)| format!("{}:{}", d.raw(), hex(data)))
                     .collect::<Vec<_>>()
                     .join(";");
                 f.push(("writes", wr));
@@ -740,7 +740,7 @@ impl Op {
                 f.push(("override", override_pending.to_string()));
                 let outs = outputs
                     .iter()
-                    .map(|(v, d)| format!("{}:{}", enc_str(v), enc_blob(d)))
+                    .map(|(v, d)| format!("{}:{}", enc_str(v), hex(d)))
                     .collect::<Vec<_>>()
                     .join(";");
                 f.push(("outputs", outs));
@@ -849,7 +849,7 @@ impl Op {
                 f.push(("library", enc_str(library)));
                 f.push(("cell", enc_str(cell)));
                 f.push(("view", enc_str(view)));
-                f.push(("data", enc_blob(data)));
+                f.push(("data", hex(data)));
             }
             Op::FmcadPurgeVersion {
                 user,
@@ -875,10 +875,10 @@ impl Op {
                 f.push(("cell", enc_str(cell)));
                 f.push(("view", enc_str(view)));
                 f.push(("version", version.to_string()));
-                f.push(("data", enc_blob(data)));
+                f.push(("data", hex(data)));
             }
         }
-        crate::codec::assemble(kind, &f)
+        assemble(kind, &f)
     }
 
     /// Parses an operation back from its [`Op::to_line`] form.
@@ -895,7 +895,7 @@ impl Op {
         let op = match f.kind {
             "add-user" => Op::AddUser {
                 name: f.str("name")?,
-                manager: f.bool("manager")?,
+                manager: f.num("manager")?,
             },
             "add-team" => Op::AddTeam {
                 actor: f.id("actor", UserId::from_raw)?,
@@ -908,11 +908,11 @@ impl Op {
             },
             "register-viewtype" => Op::RegisterViewtype {
                 name: f.str("name")?,
-                application: f.kind("application")?,
+                application: f.num("application")?,
             },
             "register-tool" => Op::RegisterTool {
                 name: f.str("name")?,
-                kind: f.kind("kind")?,
+                kind: f.num("kind")?,
             },
             "define-standard-flow" => Op::DefineStandardFlow {
                 name: f.str("name")?,
@@ -1029,7 +1029,7 @@ impl Op {
                 Op::MergeForward {
                     user: f.id("user", UserId::from_raw)?,
                     cv: f.id("cv", CellVersionId::from_raw)?,
-                    base_seq: f.u64("base_seq")?,
+                    base_seq: f.num("base_seq")?,
                     expected,
                     writes,
                 }
@@ -1055,7 +1055,7 @@ impl Op {
                     user: f.id("user", UserId::from_raw)?,
                     variant: f.id("variant", VariantId::from_raw)?,
                     activity: f.id("activity", ActivityId::from_raw)?,
-                    override_pending: f.bool("override")?,
+                    override_pending: f.num("override")?,
                     outputs,
                     session_error: match f.get("session_error")? {
                         "-" => None,
@@ -1097,9 +1097,9 @@ impl Op {
             },
             "set-future-features" => Op::SetFutureFeatures {
                 features: FutureFeatures {
-                    procedural_interface: f.bool("procedural")?,
-                    non_isomorphic_hierarchies: f.bool("non_isomorphic")?,
-                    cross_project_sharing: f.bool("sharing")?,
+                    procedural_interface: f.num("procedural")?,
+                    non_isomorphic_hierarchies: f.num("non_isomorphic")?,
+                    cross_project_sharing: f.num("sharing")?,
                 },
             },
             "set-staging-mode" => Op::SetStagingMode {
@@ -1146,13 +1146,13 @@ impl Op {
                 library: f.str("library")?,
                 cell: f.str("cell")?,
                 view: f.str("view")?,
-                version: f.u32("version")?,
+                version: f.num("version")?,
             },
             "fmcad-direct-write" => Op::FmcadDirectWrite {
                 library: f.str("library")?,
                 cell: f.str("cell")?,
                 view: f.str("view")?,
-                version: f.u32("version")?,
+                version: f.num("version")?,
                 data: f.blob("data")?,
             },
             other => return Err(format!("unknown op kind {other:?}")),

@@ -108,10 +108,9 @@ use jcf::{
     ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
     ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
 };
-use oms::persist::{fnv64, fnv64_seeded};
+use oms::persist::{enc_str, fnv64, fnv64_seeded, Fields};
 use oms::{PMap, PmapKey};
 
-use crate::codec;
 use crate::engine::{Engine, RecoveryReport};
 use crate::error::{HybridError, HybridResult};
 use crate::events::{Event, MergeConflict};
@@ -121,7 +120,7 @@ use crate::history::{HistoryRing, RetentionPolicy};
 use crate::lane::{lock, Lane, Outcome};
 use crate::ops::Op;
 use crate::service::{ReadView, Session, WriteStack};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{ImpactAnswer, Snapshot};
 
 /// First virtual id. Everything below is a bootstrap-era local id,
 /// identical on every shard, and passes through the router untouched.
@@ -209,53 +208,30 @@ impl EnvelopeRecord {
         }
     }
 
+    /// Parses a [`EnvelopeRecord::to_line`] line; each kind has the
+    /// one field layout the writer emits.
     fn parse_line(line: &str) -> Result<EnvelopeRecord, String> {
-        let (head, op_line) = match line.find("|line=") {
-            Some(at) => (&line[..at], Some(&line[at + "|line=".len()..])),
-            None => (line, None),
+        let f = Fields::parse_with_tail(line, "line")?;
+        let layout: &[&str] = match f.kind {
+            "op" | "bcast" => &["seq", "line"],
+            "prep" => &["seq", "a", "b", "line"],
+            "cmit" => &["seq"],
+            other => return Err(format!("unknown record kind {other:?}")),
         };
-        let mut fields = head.split('|');
-        let kind = fields.next().unwrap_or_default();
-        let mut seq = None;
-        let mut a = None;
-        let mut b = None;
-        for field in fields {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("malformed field {field:?}"))?;
-            let parsed: u64 = value
-                .parse()
-                .map_err(|e| format!("bad numeric field {field:?}: {e}"))?;
-            match key {
-                "seq" => seq = Some(parsed),
-                "a" => a = Some(parsed as u32),
-                "b" => b = Some(parsed as u32),
-                other => return Err(format!("unknown field key {other:?}")),
-            }
-        }
-        let seq = seq.ok_or_else(|| format!("record without seq: {line:?}"))?;
-        let op = |raw: Option<&str>| -> Result<Op, String> {
-            let raw = raw.ok_or_else(|| format!("record without op line: {line:?}"))?;
-            Op::parse_line(raw).map_err(|e| format!("bad op line: {e}"))
-        };
-        match kind {
-            "op" => Ok(EnvelopeRecord::Local {
+        f.expect_keys(layout)?;
+        let seq = f.num("seq")?;
+        let op = || Op::parse_line(f.get("line")?).map_err(|e| format!("bad op line: {e}"));
+        Ok(match f.kind {
+            "op" => EnvelopeRecord::Local { seq, op: op()? },
+            "bcast" => EnvelopeRecord::Bcast { seq, op: op()? },
+            "prep" => EnvelopeRecord::Prepare {
                 seq,
-                op: op(op_line)?,
-            }),
-            "bcast" => Ok(EnvelopeRecord::Bcast {
-                seq,
-                op: op(op_line)?,
-            }),
-            "prep" => Ok(EnvelopeRecord::Prepare {
-                seq,
-                a: a.ok_or_else(|| format!("prepare without participant a: {line:?}"))?,
-                b: b.ok_or_else(|| format!("prepare without participant b: {line:?}"))?,
-                op: op(op_line)?,
-            }),
-            "cmit" => Ok(EnvelopeRecord::Commit { seq }),
-            other => Err(format!("unknown record kind {other:?}")),
-        }
+                a: f.num("a")?,
+                b: f.num("b")?,
+                op: op()?,
+            },
+            _ => EnvelopeRecord::Commit { seq },
+        })
     }
 }
 
@@ -1207,7 +1183,7 @@ impl ShardRouter {
                 self.tables
                     .shard_of(*idx)
                     .expect("every named partition is registered"),
-                codec::enc_str(name)
+                enc_str(name)
             ));
         }
         for (vid, entry) in self.tables.forward.iter() {
@@ -1238,76 +1214,47 @@ impl ShardRouter {
     /// per-shard reverse maps from the forward entries and the
     /// equivalence adjacency from the equivalence edges.
     fn from_meta(lines: &[String]) -> Result<ShardRouter, String> {
-        fn fields(line: &str) -> Result<(&str, BTreeMap<&str, &str>), String> {
-            let mut parts = line.split('|');
-            let kind = parts.next().unwrap_or_default();
-            let mut map = BTreeMap::new();
-            for field in parts {
-                let (key, value) = field
-                    .split_once('=')
-                    .ok_or_else(|| format!("malformed meta field {field:?}"))?;
-                map.insert(key, value);
-            }
-            Ok((kind, map))
-        }
-        fn num<T: std::str::FromStr>(map: &BTreeMap<&str, &str>, key: &str) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            map.get(key)
-                .ok_or_else(|| format!("meta line missing {key}"))?
-                .parse()
-                .map_err(|e| format!("bad meta field {key}: {e}"))
-        }
         let head = lines.first().ok_or("empty router image")?;
-        let (kind, map) = fields(head)?;
-        if kind != "meta" || map.get("v") != Some(&"1") {
+        let f = Fields::parse(head)?;
+        if f.kind != "meta" || f.get("v") != Ok("1") {
             return Err(format!("unsupported router image header {head:?}"));
         }
-        let mut router = ShardRouter::new(num::<usize>(&map, "shards")?);
-        router.next_seq = num(&map, "seq")?;
-        router.epoch = num(&map, "epoch")?;
-        router.next_part = num(&map, "next-part")?;
+        let mut router = ShardRouter::new(f.num("shards")?);
+        router.next_seq = f.num("seq")?;
+        router.epoch = f.num("epoch")?;
+        router.next_part = f.num("next-part")?;
         for line in &lines[1..] {
-            let (kind, map) = fields(line)?;
-            match kind {
+            let f = Fields::parse(line)?;
+            match f.kind {
                 "part" => {
-                    let idx: u32 = num(&map, "idx")?;
-                    let shard: u32 = num(&map, "shard")?;
-                    let name = map
-                        .get("name")
-                        .and_then(|hex| codec::unhex(hex))
-                        .and_then(|bytes| String::from_utf8(bytes).ok())
-                        .ok_or_else(|| format!("part line without a hex name: {line:?}"))?;
+                    let idx: u32 = f.num("idx")?;
+                    let name = f.str("name")?;
                     router.tables.partitions.insert(
                         u64::from(idx),
                         Partition {
                             name: Arc::from(name.as_str()),
-                            shard,
+                            shard: f.num("shard")?,
                         },
                     );
                     router.parts.insert(name, idx);
                 }
                 "vid" => {
-                    let vid: u64 = num(&map, "id")?;
-                    let entry = if let Some(bcast) = map.get("bcast") {
-                        let locals = bcast
-                            .split(',')
-                            .map(|raw| raw.parse().map_err(|e| format!("bad local id: {e}")))
-                            .collect::<Result<Vec<u64>, String>>()?;
-                        VirtEntry::Broadcast { locals }
-                    } else {
-                        VirtEntry::Sharded {
-                            part: num(&map, "part")?,
-                            local: num(&map, "local")?,
-                        }
+                    let entry = match f.get("bcast") {
+                        Ok(bcast) => VirtEntry::Broadcast {
+                            locals: bcast
+                                .split(',')
+                                .map(|raw| raw.parse().map_err(|e| format!("bad local id: {e}")))
+                                .collect::<Result<_, String>>()?,
+                        },
+                        Err(_) => VirtEntry::Sharded {
+                            part: f.num("part")?,
+                            local: f.num("local")?,
+                        },
                     };
-                    router.register(vid, entry);
+                    router.register(f.num("id")?, entry);
                 }
-                "comp" => router
-                    .tables
-                    .push_comp(num(&map, "parent")?, num(&map, "child")?),
-                "equiv" => router.tables.push_equiv(num(&map, "a")?, num(&map, "b")?),
+                "comp" => router.tables.push_comp(f.num("parent")?, f.num("child")?),
+                "equiv" => router.tables.push_equiv(f.num("a")?, f.num("b")?),
                 other => return Err(format!("unknown router image line kind {other:?}")),
             }
         }
@@ -1796,6 +1743,37 @@ struct EpochMeta {
     engine_seqs: Vec<u64>,
 }
 
+/// One `epoch.meta` record: `seq|next=<n>` or
+/// `engseq|shard=<i>|seq=<s>`, each in exactly that layout.
+enum EpochRecord {
+    Next(u64),
+    EngineSeq(usize, u64),
+}
+
+impl EpochRecord {
+    fn to_line(&self) -> String {
+        match self {
+            EpochRecord::Next(next) => format!("seq|next={next}"),
+            EpochRecord::EngineSeq(shard, seq) => format!("engseq|shard={shard}|seq={seq}"),
+        }
+    }
+
+    fn parse_line(line: &str) -> Result<EpochRecord, String> {
+        let f = Fields::parse(line)?;
+        match f.kind {
+            "seq" => {
+                f.expect_keys(&["next"])?;
+                Ok(EpochRecord::Next(f.num("next")?))
+            }
+            "engseq" => {
+                f.expect_keys(&["shard", "seq"])?;
+                Ok(EpochRecord::EngineSeq(f.num("shard")?, f.num("seq")?))
+            }
+            other => Err(format!("unknown record kind {other:?}")),
+        }
+    }
+}
+
 /// Reads just the `seq|next=` record of an epoch's metadata — enough
 /// to pick the point-in-time anchor epoch before any router state is
 /// loaded. `None` for unreadable or uncommitted epoch directories.
@@ -1807,7 +1785,10 @@ fn epoch_next_seq(fs: &Vfs, dir: &VfsPath) -> Option<u64> {
     let lines = oms::persist::load_journal(fs, &path).ok()?;
     lines
         .iter()
-        .find_map(|line| line.strip_prefix("seq|next=")?.parse().ok())
+        .find_map(|line| match EpochRecord::parse_line(line) {
+            Ok(EpochRecord::Next(next)) => Some(next),
+            _ => None,
+        })
 }
 
 fn load_epoch_meta(fs: &Vfs, dir: &VfsPath, nshards: usize) -> HybridResult<EpochMeta> {
@@ -1815,16 +1796,16 @@ fn load_epoch_meta(fs: &Vfs, dir: &VfsPath, nshards: usize) -> HybridResult<Epoc
     let mut next_seq = None;
     let mut engine_seqs = vec![None; nshards];
     for line in &lines {
-        let err = || HybridError::Journal(format!("malformed epoch meta line {line:?}"));
-        if let Some(rest) = line.strip_prefix("seq|next=") {
-            next_seq = Some(rest.parse().map_err(|_| err())?);
-        } else if let Some(rest) = line.strip_prefix("engseq|shard=") {
-            let (shard, seq) = rest.split_once("|seq=").ok_or_else(err)?;
-            let shard: usize = shard.parse().map_err(|_| err())?;
-            let slot = engine_seqs.get_mut(shard).ok_or_else(err)?;
-            *slot = Some(seq.parse().map_err(|_| err())?);
-        } else {
-            return Err(err());
+        let err =
+            |e: String| HybridError::Journal(format!("malformed epoch meta line {line:?}: {e}"));
+        match EpochRecord::parse_line(line).map_err(err)? {
+            EpochRecord::Next(next) => next_seq = Some(next),
+            EpochRecord::EngineSeq(shard, seq) => {
+                let slot = engine_seqs
+                    .get_mut(shard)
+                    .ok_or_else(|| err(format!("no shard {shard}")))?;
+                *slot = Some(seq);
+            }
         }
     }
     let engine_seqs: Option<Vec<u64>> = engine_seqs.into_iter().collect();
@@ -1873,10 +1854,10 @@ impl ShardedService {
         // one delta ahead of the committed epoch; recovery targets
         // the recorded engine sequences, so the extra delta is simply
         // an unreferenced fork until a retry commits past it.
-        let mut epoch_lines = vec![format!("seq|next={}", router.next_seq)];
+        let mut epoch_lines = vec![EpochRecord::Next(router.next_seq).to_line()];
         for (i, engine) in guards.iter_mut().enumerate() {
             engine.checkpoint_images(fs, &shard_chain_dir(root, i)?)?;
-            epoch_lines.push(format!("engseq|shard={i}|seq={}", engine.seq()));
+            epoch_lines.push(EpochRecord::EngineSeq(i, engine.seq()).to_line());
         }
         oms::persist::save_journal(fs, &dir.join(EPOCH_META)?, &epoch_lines).map_err(map_oms)?;
         oms::persist::save_journal(fs, &dir.join(ROUTER_META)?, &router.meta_lines(next))
@@ -2511,15 +2492,25 @@ impl ShardView {
         &self,
         cv: CellVersionId,
     ) -> HybridResult<Vec<(DovId, Arc<MirrorLocation>)>> {
-        let mut out = Vec::new();
-        for dov in self.stale_dovs(cv)? {
-            if let Some((shard, local)) = self.router.resolve(dov.raw()) {
-                if let Some(mirror) = self.snaps[shard].mirror_arc(DovId::from_raw(local)) {
-                    out.push((dov, mirror));
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.impact(cv)?.1)
+    }
+
+    /// [`ShardView::stale_dovs`] and [`ShardView::impacted_cellviews`]
+    /// from one walk of the cross-shard graph.
+    ///
+    /// # Errors
+    ///
+    /// [`HybridError::ShardRouting`] for ids the view does not know.
+    pub fn impact(&self, cv: CellVersionId) -> HybridResult<ImpactAnswer> {
+        let stale = self.stale_dovs(cv)?;
+        let mirrored = stale
+            .iter()
+            .filter_map(|&dov| {
+                let (shard, local) = self.router.resolve(dov.raw())?;
+                Some((dov, self.snaps[shard].mirror_arc(DovId::from_raw(local))?))
+            })
+            .collect();
+        Ok((stale, mirrored))
     }
 }
 
@@ -2589,6 +2580,36 @@ impl ShardedService {
 mod tests {
     use super::*;
     use crate::encapsulation::ToolOutput;
+
+    /// The recorded sharded fixture's envelope logs, router images and
+    /// epoch metadata parse and re-render to the bytes on disk.
+    #[test]
+    fn fixture_records_re_render_byte_for_byte() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/sharded_backup_with_op_segments");
+        let mut records = 0;
+        for epoch in 1..=3 {
+            let dir = root.join(format!("ck-{epoch}"));
+            let lines = |name: &str| -> Vec<String> {
+                std::fs::read_to_string(dir.join(name))
+                    .map(|t| t.lines().skip(1).map(str::to_owned).collect())
+                    .unwrap_or_default()
+            };
+            for shard in 0..2 {
+                for line in lines(&format!("shard-{shard}.log")) {
+                    assert_eq!(EnvelopeRecord::parse_line(&line).unwrap().to_line(), line);
+                    records += 1;
+                }
+            }
+            for line in lines(EPOCH_META) {
+                assert_eq!(EpochRecord::parse_line(&line).unwrap().to_line(), line);
+            }
+            let image = lines(ROUTER_META);
+            let router = ShardRouter::from_meta(&image).unwrap();
+            assert_eq!(router.meta_lines(router.epoch), image, "ck-{epoch}");
+        }
+        assert!(records > 0, "the fixture's envelope logs hold records");
+    }
 
     const NETLIST: &[u8] = b"netlist adder\nport a input\n";
 

@@ -217,12 +217,24 @@ impl Snapshot {
     /// mirrored into FMCAD: the cellviews an ECAD user would actually
     /// see go out of date, with their Table-1 mirror locations.
     pub fn impacted_cellviews(&self, cv: CellVersionId) -> Vec<(DovId, Arc<MirrorLocation>)> {
-        self.stale_dovs(cv)
-            .into_iter()
-            .filter_map(|dov| self.dov_mirror.get(&dov).map(|m| (dov, Arc::clone(m))))
-            .collect()
+        self.impact(cv).1
+    }
+
+    /// [`Snapshot::stale_dovs`] and [`Snapshot::impacted_cellviews`]
+    /// from one walk of the graph.
+    pub fn impact(&self, cv: CellVersionId) -> ImpactAnswer {
+        let stale = self.stale_dovs(cv);
+        let mirrored = stale
+            .iter()
+            .filter_map(|&dov| self.dov_mirror.get(&dov).map(|m| (dov, Arc::clone(m))))
+            .collect();
+        (stale, mirrored)
     }
 }
+
+/// An impact-query answer: the stale derivation cone of a cell
+/// version, plus its FMCAD-mirrored subset with mirror locations.
+pub type ImpactAnswer = (Vec<DovId>, Vec<(DovId, Arc<MirrorLocation>)>);
 
 impl ReadView for Snapshot {
     fn browse(&self, user: UserId, dov: DovId) -> HybridResult<Blob> {

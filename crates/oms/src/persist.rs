@@ -22,8 +22,14 @@
 //! checkpoint chain stores a base image rendered by [`dump`] and
 //! delta images rendered by [`dump_delta`] through the atomic
 //! [`save_text`], and reads them back with [`load_text`] followed by
-//! [`parse`] and [`apply_delta`]. The operations journal between
-//! checkpoints uses the line-framed [`render_journal`] format.
+//! [`parse`] and [`apply_delta`] — one record reader, so a whole image
+//! is its records applied to an empty database. The operations journal
+//! between checkpoints uses the line-framed [`render_journal`] format.
+//!
+//! The module also owns the one `kind|key=value|...` record codec of
+//! the stack — [`assemble`], [`Fields`], [`hex`] and [`unhex`] — that
+//! the op and event lines, the wire frames, the chain manifest and the
+//! sharded journals and images are written and read with.
 
 use cad_vfs::{Vfs, VfsPath};
 
@@ -109,7 +115,6 @@ fn atomic_write(fs: &mut Vfs, path: &VfsPath, bytes: Vec<u8>) -> OmsResult<()> {
 /// Returns [`OmsError::CorruptImage`] on any syntactic or schema
 /// mismatch (unknown class, attribute or relationship, bad encoding).
 pub fn parse(schema: Schema, image: &str) -> OmsResult<Database> {
-    let mut db = Database::new(schema);
     let mut lines = image.lines().enumerate();
     match lines.next() {
         Some((_, "oms-image v1")) => {}
@@ -126,6 +131,29 @@ pub fn parse(schema: Schema, image: &str) -> OmsResult<Database> {
             })
         }
     }
+    let mut db = Database::new(schema);
+    apply_records(&mut db, lines, Records::Image)?;
+    Ok(db)
+}
+
+/// The record set a text may carry: a whole image only `object`,
+/// `attr` and `link` records; a delta also `next`, `unlink` and `del`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Records {
+    Image,
+    Delta,
+}
+
+/// Applies numbered record lines to `db`, the one reader of both the
+/// image and the delta grammar: a whole image is its records applied
+/// to an empty database. Returns the allocation counter a `next`
+/// record set, if any.
+fn apply_records<'a>(
+    db: &mut Database,
+    lines: impl Iterator<Item = (usize, &'a str)>,
+    records: Records,
+) -> OmsResult<Option<u64>> {
+    let mut next_id = None;
     for (idx, line) in lines {
         let lineno = idx + 1;
         if line.is_empty() {
@@ -135,11 +163,26 @@ pub fn parse(schema: Schema, image: &str) -> OmsResult<Database> {
             line: lineno,
             reason,
         };
-        let mut parts = line.splitn(2, ' ');
-        let keyword = parts.next().unwrap_or_default();
-        let rest = parts.next().unwrap_or_default();
-        match keyword {
-            "object" => {
+        let (keyword, rest) = line.split_once(' ').unwrap_or((line, ""));
+        match (keyword, records) {
+            ("next", Records::Delta) => {
+                next_id = Some(
+                    rest.parse::<u64>()
+                        .map_err(|_| corrupt(format!("bad next id {rest:?}")))?,
+                );
+            }
+            ("unlink", Records::Delta) => {
+                let (rel, s, t) = parse_link_triple(db.schema(), rest, &corrupt)?;
+                db.unlink(rel, s, t).map_err(|e| corrupt(e.to_string()))?;
+            }
+            ("del", Records::Delta) => {
+                let raw: u64 = rest
+                    .parse()
+                    .map_err(|_| corrupt(format!("bad id {rest:?}")))?;
+                db.delete(ObjectId::for_tests(raw))
+                    .map_err(|e| corrupt(e.to_string()))?;
+            }
+            ("object", _) => {
                 let (raw, class_name) = split2(rest)
                     .ok_or_else(|| corrupt("expected `object <id> <class>`".to_owned()))?;
                 let raw: u64 = raw
@@ -151,7 +194,7 @@ pub fn parse(schema: Schema, image: &str) -> OmsResult<Database> {
                     .ok_or_else(|| corrupt(format!("unknown class {class_name:?}")))?;
                 db.raw_insert(raw, class);
             }
-            "attr" => {
+            ("attr", _) => {
                 let (raw, rest2) = split2(rest)
                     .ok_or_else(|| corrupt("expected `attr <id> <name> <value>`".to_owned()))?;
                 let (name, encoded) = split2(rest2)
@@ -164,24 +207,14 @@ pub fn parse(schema: Schema, image: &str) -> OmsResult<Database> {
                 db.set(ObjectId::for_tests(raw), name, value)
                     .map_err(|e| corrupt(e.to_string()))?;
             }
-            "link" => {
-                let (rel_name, rest2) = split2(rest)
-                    .ok_or_else(|| corrupt("expected `link <rel> <src> <dst>`".to_owned()))?;
-                let (s, t) = split2(rest2)
-                    .ok_or_else(|| corrupt("expected `link <rel> <src> <dst>`".to_owned()))?;
-                let rel = db
-                    .schema()
-                    .relationship_by_name(rel_name)
-                    .ok_or_else(|| corrupt(format!("unknown relationship {rel_name:?}")))?;
-                let s: u64 = s.parse().map_err(|_| corrupt(format!("bad id {s:?}")))?;
-                let t: u64 = t.parse().map_err(|_| corrupt(format!("bad id {t:?}")))?;
-                db.link(rel, ObjectId::for_tests(s), ObjectId::for_tests(t))
-                    .map_err(|e| corrupt(e.to_string()))?;
+            ("link", _) => {
+                let (rel, s, t) = parse_link_triple(db.schema(), rest, &corrupt)?;
+                db.link(rel, s, t).map_err(|e| corrupt(e.to_string()))?;
             }
-            other => return Err(corrupt(format!("unknown keyword {other:?}"))),
+            (other, _) => return Err(corrupt(format!("unknown keyword {other:?}"))),
         }
     }
-    Ok(db)
+    Ok(next_id)
 }
 
 /// Header line of a persisted delta image.
@@ -323,71 +356,9 @@ pub fn delta_base_tag(text: &str) -> OmsResult<&str> {
 /// the delta is being applied to the wrong base.
 pub fn apply_delta(db: &mut Database, text: &str) -> OmsResult<()> {
     delta_base_tag(text)?;
-    let mut next_id = None;
     // Skip the two header lines already validated above.
-    for (idx, line) in text.lines().enumerate().skip(2) {
-        let lineno = idx + 1;
-        if line.is_empty() {
-            continue;
-        }
-        let corrupt = |reason: String| OmsError::CorruptImage {
-            line: lineno,
-            reason,
-        };
-        let mut parts = line.splitn(2, ' ');
-        let keyword = parts.next().unwrap_or_default();
-        let rest = parts.next().unwrap_or_default();
-        match keyword {
-            "next" => {
-                next_id = Some(
-                    rest.parse::<u64>()
-                        .map_err(|_| corrupt(format!("bad next id {rest:?}")))?,
-                );
-            }
-            "unlink" => {
-                let (rel, s, t) = parse_link_triple(db.schema(), rest, &corrupt)?;
-                db.unlink(rel, s, t).map_err(|e| corrupt(e.to_string()))?;
-            }
-            "del" => {
-                let raw: u64 = rest
-                    .parse()
-                    .map_err(|_| corrupt(format!("bad id {rest:?}")))?;
-                db.delete(ObjectId::for_tests(raw))
-                    .map_err(|e| corrupt(e.to_string()))?;
-            }
-            "object" => {
-                let (raw, class_name) = split2(rest)
-                    .ok_or_else(|| corrupt("expected `object <id> <class>`".to_owned()))?;
-                let raw: u64 = raw
-                    .parse()
-                    .map_err(|_| corrupt(format!("bad id {raw:?}")))?;
-                let class = db
-                    .schema()
-                    .class_by_name(class_name)
-                    .ok_or_else(|| corrupt(format!("unknown class {class_name:?}")))?;
-                db.raw_insert(raw, class);
-            }
-            "attr" => {
-                let (raw, rest2) = split2(rest)
-                    .ok_or_else(|| corrupt("expected `attr <id> <name> <value>`".to_owned()))?;
-                let (name, encoded) = split2(rest2)
-                    .ok_or_else(|| corrupt("expected `attr <id> <name> <value>`".to_owned()))?;
-                let raw: u64 = raw
-                    .parse()
-                    .map_err(|_| corrupt(format!("bad id {raw:?}")))?;
-                let value =
-                    decode(encoded).ok_or_else(|| corrupt(format!("bad value {encoded:?}")))?;
-                db.set(ObjectId::for_tests(raw), name, value)
-                    .map_err(|e| corrupt(e.to_string()))?;
-            }
-            "link" => {
-                let (rel, s, t) = parse_link_triple(db.schema(), rest, &corrupt)?;
-                db.link(rel, s, t).map_err(|e| corrupt(e.to_string()))?;
-            }
-            other => return Err(corrupt(format!("unknown keyword {other:?}"))),
-        }
-    }
-    match next_id {
+    let lines = text.lines().enumerate().skip(2);
+    match apply_records(db, lines, Records::Delta)? {
         Some(n) => db.set_next_id_raw(n),
         None => {
             return Err(OmsError::CorruptImage {
@@ -670,6 +641,190 @@ pub fn unhex(s: &str) -> Option<Vec<u8>> {
         .chunks_exact(2)
         .map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?))
         .collect()
+}
+
+/// Hex-armours a string field.
+pub fn enc_str(s: &str) -> String {
+    hex(s.as_bytes())
+}
+
+/// Comma-joined raw id list, the form [`Fields::ids`] reads back.
+pub fn enc_ids<T: Copy>(ids: &[T], raw: impl Fn(T) -> u64) -> String {
+    ids.iter()
+        .map(|&i| raw(i).to_string())
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Assembles a `kind|key=value|...` record line from encoded fields.
+pub fn assemble(kind: &str, fields: &[(&str, String)]) -> String {
+    let mut line = kind.to_owned();
+    for (k, v) in fields {
+        line.push('|');
+        line.push_str(k);
+        line.push('=');
+        line.push_str(v);
+    }
+    line
+}
+
+/// A parsed `kind|key=value|...` record line — the one reader of the
+/// grammar the op journal, the event and wire frames, the chain
+/// manifest, the segment header, the envelope journal, the router
+/// image and the epoch metadata all share. Values are raw: strings
+/// and payloads stay hex-armoured until an accessor decodes them.
+pub struct Fields<'a> {
+    /// The record kind: everything before the first `|`.
+    pub kind: &'a str,
+    fields: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    /// Splits `line` into its kind and `key=value` fields.
+    ///
+    /// # Errors
+    ///
+    /// A field without `=`.
+    pub fn parse(line: &'a str) -> Result<Fields<'a>, String> {
+        let mut parts = line.split('|');
+        let kind = parts.next().unwrap_or_default();
+        let mut fields = Vec::new();
+        for part in parts {
+            let (k, v) = part
+                .split_once('=')
+                .ok_or_else(|| format!("bad field {part:?}"))?;
+            fields.push((k, v));
+        }
+        Ok(Fields { kind, fields })
+    }
+
+    /// Like [`Fields::parse`], but the first `|<tail>=` field runs to
+    /// the end of the line, so its value may hold `|` and `=` itself
+    /// (an embedded record line). Without that field the line parses
+    /// as [`Fields::parse`] parses it.
+    ///
+    /// # Errors
+    ///
+    /// A field before the tail without `=`.
+    pub fn parse_with_tail(line: &'a str, tail: &str) -> Result<Fields<'a>, String> {
+        let at = line.match_indices('|').map(|(i, _)| i).find(|&i| {
+            line[i + 1..]
+                .strip_prefix(tail)
+                .is_some_and(|r| r.starts_with('='))
+        });
+        let Some(at) = at else {
+            return Fields::parse(line);
+        };
+        let mut f = Fields::parse(&line[..at])?;
+        // `key` is `tail`, `value` starts at its `=`.
+        let (key, value) = line[at + 1..].split_at(tail.len());
+        f.fields.push((key, &value[1..]));
+        Ok(f)
+    }
+
+    /// Refuses the record unless its keys are exactly `keys`, in that
+    /// order — for formats whose writer emits one fixed layout.
+    ///
+    /// # Errors
+    ///
+    /// Names the record kind and the keys it carries.
+    pub fn expect_keys(&self, keys: &[&str]) -> Result<(), String> {
+        let found = || self.fields.iter().map(|(k, _)| *k);
+        if found().eq(keys.iter().copied()) {
+            return Ok(());
+        }
+        Err(format!(
+            "{:?} record has keys {:?}, expected {keys:?}",
+            self.kind,
+            found().collect::<Vec<_>>()
+        ))
+    }
+
+    /// The raw value of the first `name` field.
+    ///
+    /// # Errors
+    ///
+    /// The field is missing.
+    pub fn get(&self, name: &str) -> Result<&'a str, String> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| format!("missing field {name:?} in {:?}", self.kind))
+    }
+
+    /// A field parsed with [`FromStr`](std::str::FromStr): numbers,
+    /// booleans and named enums.
+    ///
+    /// # Errors
+    ///
+    /// The field is missing or does not parse.
+    pub fn num<T>(&self, name: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        self.get(name)?
+            .parse()
+            .map_err(|e| format!("bad value in {name:?}: {e}"))
+    }
+
+    /// A hex-armoured byte field.
+    ///
+    /// # Errors
+    ///
+    /// The field is missing or its armour is not hex.
+    pub fn bytes(&self, name: &str) -> Result<Vec<u8>, String> {
+        unhex(self.get(name)?).ok_or_else(|| format!("bad hex in {name:?}"))
+    }
+
+    /// A hex-armoured UTF-8 string field.
+    ///
+    /// # Errors
+    ///
+    /// The field is missing, its armour is not hex or the bytes are
+    /// not UTF-8.
+    pub fn str(&self, name: &str) -> Result<String, String> {
+        String::from_utf8(self.bytes(name)?).map_err(|_| format!("field {name:?} is not utf-8"))
+    }
+
+    /// A hex-armoured payload field.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::bytes`].
+    pub fn blob(&self, name: &str) -> Result<cad_vfs::Blob, String> {
+        self.bytes(name).map(cad_vfs::Blob::from)
+    }
+
+    /// A raw numeric id field, wrapped by `from`.
+    ///
+    /// # Errors
+    ///
+    /// The field is missing or not a number.
+    pub fn id<T>(&self, name: &str, from: impl Fn(u64) -> T) -> Result<T, String> {
+        Ok(from(self.num(name)?))
+    }
+
+    /// A comma-separated raw id list ([`enc_ids`]); the empty value is
+    /// the empty list.
+    ///
+    /// # Errors
+    ///
+    /// The field is missing or an element is not a number.
+    pub fn ids<T>(&self, name: &str, from: impl Fn(u64) -> T) -> Result<Vec<T>, String> {
+        let raw = self.get(name)?;
+        if raw.is_empty() {
+            return Ok(Vec::new());
+        }
+        raw.split(',')
+            .map(|p| {
+                p.parse::<u64>()
+                    .map(&from)
+                    .map_err(|_| format!("bad id list in {name:?}"))
+            })
+            .collect()
+    }
 }
 
 /// Returns the attribute type a stored tag string denotes, mainly for

@@ -16,7 +16,7 @@
 //!   service, scoped to the session's authenticated user, without
 //!   executing ops.
 
-use cad_net::{Client, Server, ServerConfig, WireError};
+use cad_net::{Backend, Client, Server, ServerConfig, WireError};
 use cad_vfs::Blob;
 use hybrid::{
     Engine, Event, HybridError, MergeConflict, Op, RetentionPolicy, Service, ShardedService,
@@ -482,6 +482,84 @@ fn impact_queries_answer_on_any_retained_snapshot() {
         after.stale_dovs(rig.cv),
         "head still answers identically (nothing changed since)"
     );
+}
+
+/// The wire backend's impact answer comes from one graph walk; it must
+/// equal the two separate public queries on both write stacks, before
+/// and after the equivalence mark that makes it non-empty.
+#[test]
+fn one_walk_impact_equals_the_two_queries_on_both_write_stacks() {
+    let (rig, other_dov, before_seq, mark_seq) = impact_rig();
+    for seq in [before_seq, mark_seq] {
+        let snap = rig.service.at(seq).expect("retained");
+        let two_calls = (snap.stale_dovs(rig.cv), snap.impacted_cellviews(rig.cv));
+        assert_eq!(snap.impact(rig.cv), two_calls, "single engine at {seq}");
+        assert_eq!(
+            Backend::history_impact(&rig.service, seq, rig.cv).expect("single engine"),
+            two_calls
+        );
+    }
+    assert_eq!(
+        rig.service.at(mark_seq).unwrap().impact(rig.cv).0,
+        vec![other_dov]
+    );
+
+    for shards in 1..=3 {
+        let service = ShardedService::builder()
+            .shards(shards)
+            .retention(RetentionPolicy::LastN(64))
+            .build();
+        let admin = service.open_session(service.admin());
+        let alice_id = admin.add_user("alice", false).expect("alice");
+        let team = admin.add_team("asic").expect("team");
+        admin.add_team_member(team, alice_id).expect("alice joins");
+        let flow = admin.standard_flow("asic").expect("flow");
+        let alice = service.open_session(alice_id);
+        let mut cvs = Vec::new();
+        let mut dovs = Vec::new();
+        for (project, cell) in [("alu16", "adder"), ("filter", "fir")] {
+            let project = admin.create_project(project).expect("project");
+            let cell = admin.create_cell(project, cell).expect("cell");
+            let (cv, variant) = admin
+                .create_cell_version(cell, flow.flow, team)
+                .expect("cell version");
+            alice.reserve(cv).expect("reserve");
+            let out = alice
+                .run_activity(
+                    variant,
+                    flow.enter_schematic,
+                    false,
+                    vec![ToolOutput {
+                        viewtype: "schematic".into(),
+                        data: Blob::from(b"netlist".to_vec()),
+                    }],
+                    None,
+                )
+                .expect("activity");
+            alice.publish(cv).expect("publish");
+            cvs.push(cv);
+            dovs.push(out[0]);
+        }
+        let (mark_seq, _) = alice
+            .apply_seq(Op::MarkEquivalent {
+                a: dovs[0],
+                b: dovs[1],
+            })
+            .expect("cross-partition equivalence");
+        let view = service.at(mark_seq).expect("retained");
+        let two_calls = (
+            view.stale_dovs(cvs[0]).expect("stale"),
+            view.impacted_cellviews(cvs[0]).expect("impacted"),
+        );
+        assert_eq!(two_calls.0, vec![dovs[1]], "{shards} shards");
+        assert_eq!(two_calls.1.len(), 1, "{shards} shards");
+        assert_eq!(view.impact(cvs[0]).expect("impact"), two_calls);
+        assert_eq!(
+            Backend::history_impact(&service, mark_seq, cvs[0]).expect("sharded"),
+            two_calls,
+            "{shards} shards"
+        );
+    }
 }
 
 // --- sharded determinism ------------------------------------------------
