@@ -41,7 +41,7 @@
 use std::io::{self, Read, Write};
 
 use hybrid::{Event, Op};
-use oms::persist::{assemble, enc_str, hex, unhex, Fields};
+use oms::persist::{assemble, dec, enc_str, hex, unhex, Fields};
 
 /// The protocol version this crate speaks.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -351,7 +351,7 @@ fn parse_u64_list(raw: &str) -> Result<Vec<u64>, String> {
         return Ok(Vec::new());
     }
     raw.split(',')
-        .map(|s| s.parse().map_err(|_| format!("bad number {s:?} in list")))
+        .map(|s| dec(s).ok_or_else(|| format!("bad number {s:?} in list")))
         .collect()
 }
 
@@ -390,12 +390,9 @@ fn parse_impacted(raw: &str) -> Result<Vec<Impacted>, String> {
                 return Err(format!("bad impacted item {item:?}"));
             };
             Ok(Impacted {
-                dov: dov
-                    .parse()
-                    .map_err(|_| format!("bad dov in impacted item {item:?}"))?,
-                version: version
-                    .parse()
-                    .map_err(|_| format!("bad version in impacted item {item:?}"))?,
+                dov: dec(dov).ok_or_else(|| format!("bad dov in impacted item {item:?}"))?,
+                version: dec(version)
+                    .ok_or_else(|| format!("bad version in impacted item {item:?}"))?,
                 library: dearmour(library)?,
                 cell: dearmour(cell)?,
                 view: dearmour(view)?,
@@ -562,7 +559,10 @@ impl Response {
                 version: f.num("version").map_err(WireError::Malformed)?,
                 session: f.num("session").map_err(WireError::Malformed)?,
                 user: f.num("user").map_err(WireError::Malformed)?,
-                admin: f.num("admin").map_err(WireError::Malformed)?,
+                admin: f
+                    .get("admin")
+                    .and_then(|v| v.parse().map_err(|_| format!("bad admin flag {v:?}")))
+                    .map_err(WireError::Malformed)?,
             }),
             "ok" => {
                 let id = f.num("id").map_err(WireError::Malformed)?;

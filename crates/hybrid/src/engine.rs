@@ -1559,8 +1559,12 @@ impl Manifest {
         for line in lines {
             let mut record = || -> Result<(), String> {
                 let f = Fields::parse(line)?;
+                // `{:016x}`: eight big-endian bytes in the lower-case armour.
                 let fp = || {
-                    u64::from_str_radix(f.get("fp")?, 16).map_err(|_| "bad fingerprint".to_owned())
+                    unhex(f.get("fp")?)
+                        .and_then(|b| b.try_into().ok())
+                        .map(u64::from_be_bytes)
+                        .ok_or_else(|| "bad fingerprint".to_owned())
                 };
                 match f.kind {
                     "base" => {

@@ -6,6 +6,14 @@
 //! two built-in sinks back the desktop's `journal` command
 //! ([`TraceSink`]) and the benchmark report's operation counters
 //! ([`CounterSink`]).
+//!
+//! The declaration below is the only place an event's line layout is
+//! written: the network front-end ships each committed event back in
+//! the same one-line `kind|key=value` form as the ops journal, and the
+//! shard router lifts its ids into virtual form by walking the same
+//! fields. An id field marked `=> new` is one the event creates; the
+//! router numbers those in line order (the `codec` module documents
+//! the syntax).
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -16,6 +24,7 @@ use jcf::{
     ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
 };
 
+use crate::codec::records;
 use crate::error::HybridError;
 use crate::framework::StandardFlow;
 use crate::import::ImportReport;
@@ -23,123 +32,144 @@ use crate::ops::Op;
 use crate::release::ExportManifest;
 use cad_tools::LvsReport;
 
-/// The typed outcome of one successfully applied [`Op`](crate::Op).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A user was registered.
-    UserAdded(UserId),
-    /// A team was created.
-    TeamAdded(TeamId),
-    /// A user joined a team.
-    TeamMemberAdded(TeamId, UserId),
-    /// A viewtype was registered on both frameworks.
-    ViewtypeRegistered(ViewTypeId),
-    /// A tool was registered.
-    ToolRegistered(ToolId),
-    /// The standard three-tool flow was defined and frozen.
-    StandardFlowDefined(StandardFlow),
-    /// The quality-gated flow was defined and frozen.
-    QualityGatedFlowDefined(StandardFlow),
-    /// An empty custom flow was defined.
-    FlowDefined(FlowId),
-    /// An activity was added to a flow.
-    ActivityAdded(ActivityId),
-    /// A flow was frozen.
-    FlowFrozen(FlowId),
-    /// A project (and its coupled library) was created.
-    ProjectCreated(ProjectId),
-    /// A cell was created.
-    CellCreated(CellId),
-    /// A cell version (with base variant) was created.
-    CellVersionCreated(CellVersionId, VariantId),
-    /// A variant was derived.
-    VariantDerived(VariantId),
-    /// A hierarchy child was declared.
-    CompOfDeclared(CellVersionId, CellId),
-    /// A cell was shared across projects.
-    CellShared(CellId),
-    /// A variant was promoted into a new cell version.
-    VariantPromoted(CellVersionId, VariantId),
-    /// A cell version was reserved into a workspace.
-    Reserved(CellVersionId),
-    /// A cell version was published.
-    Published(CellVersionId),
-    /// A design object was created.
-    DesignObjectCreated(DesignObjectId),
-    /// A design object version was added.
-    DovAdded(DovId),
-    /// Two design object versions were marked equivalent.
-    MarkedEquivalent(DovId, DovId),
-    /// A branch workspace merged forward cleanly; carries the versions
-    /// it published.
-    MergeApplied {
-        /// The cell version merged into.
-        cv: CellVersionId,
-        /// The design object versions the merge created.
-        dovs: Vec<DovId>,
-    },
-    /// A branch workspace could not merge forward; nothing changed.
-    ///
-    /// This is a *successful* op outcome — the conflict set is the
-    /// answer, journaled and replayed like any other event — so a
-    /// conflicted merge never poisons the journal with partial state.
-    MergeConflict {
-        /// The cell version the merge targeted.
-        cv: CellVersionId,
-        /// Every conflict found, in deterministic order: a reservation
-        /// conflict first, then design-object conflicts in the
-        /// workspace's staging order.
-        conflicts: Vec<MergeConflict>,
-    },
-    /// An encapsulated activity ran; carries the versions it created.
-    ActivityRun {
-        /// The design object versions the run produced.
-        dovs: Vec<DovId>,
-    },
-    /// A design object version was browsed.
-    Browsed {
-        /// The data read.
-        data: Blob,
-    },
-    /// Design data was read via the desktop.
-    DesignDataRead {
-        /// The data read.
-        data: Blob,
-    },
-    /// A configuration was created.
-    ConfigurationCreated(ConfigId),
-    /// A configuration version was frozen.
-    ConfigVersionCreated(ConfigVersionId),
-    /// A configuration version was exported to the file system.
-    ConfigExported(ExportManifest),
-    /// Layout-versus-schematic ran on a variant.
-    LvsRun(LvsReport),
-    /// The future-work feature switches changed.
-    FutureFeaturesSet,
-    /// The staging mode changed.
-    StagingModeSet,
-    /// An uncoupled FMCAD library was imported.
-    LibraryImported(ProjectId, ImportReport),
-    /// A standalone FMCAD library was created.
-    FmcadLibraryCreated,
-    /// An FMCAD cell was created directly.
-    FmcadCellCreated,
-    /// An FMCAD cellview was created directly.
-    FmcadCellviewCreated,
-    /// An FMCAD cellview was checked out directly.
-    FmcadCheckedOut {
-        /// The checked-out data.
-        data: Blob,
-    },
-    /// Data was checked into an FMCAD cellview directly.
-    FmcadCheckedIn {
-        /// The new version number.
-        version: u32,
-    },
-    /// An FMCAD cellview version was purged.
-    FmcadVersionPurged,
-    /// A versioned library file was overwritten out-of-band.
-    FmcadFileWritten,
+records! {
+    /// The typed outcome of one successfully applied [`Op`](crate::Op).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Event {
+        /// A user was registered.
+        UserAdded "user-added" (id: UserId => new),
+        /// A team was created.
+        TeamAdded "team-added" (id: TeamId => new),
+        /// A user joined a team.
+        TeamMemberAdded "team-member-added" (team: TeamId, user: UserId),
+        /// A viewtype was registered on both frameworks.
+        ViewtypeRegistered "viewtype-registered" (id: ViewTypeId => new),
+        /// A tool was registered.
+        ToolRegistered "tool-registered" (id: ToolId => new),
+        /// The standard three-tool flow was defined and frozen.
+        StandardFlowDefined "standard-flow-defined" (flow: StandardFlow => new),
+        /// The quality-gated flow was defined and frozen.
+        QualityGatedFlowDefined "quality-gated-flow-defined" (flow: StandardFlow => new),
+        /// An empty custom flow was defined.
+        FlowDefined "flow-defined" (id: FlowId => new),
+        /// An activity was added to a flow.
+        ActivityAdded "activity-added" (id: ActivityId => new),
+        /// A flow was frozen.
+        FlowFrozen "flow-frozen" (id: FlowId),
+        /// A project (and its coupled library) was created.
+        ProjectCreated "project-created" (id: ProjectId => new),
+        /// A cell was created.
+        CellCreated "cell-created" (id: CellId => new),
+        /// A cell version (with base variant) was created.
+        CellVersionCreated "cell-version-created" (
+            cv: CellVersionId => new,
+            variant: VariantId => new,
+        ),
+        /// A variant was derived.
+        VariantDerived "variant-derived" (id: VariantId => new),
+        /// A hierarchy child was declared.
+        CompOfDeclared "comp-of-declared" (cv: CellVersionId, child: CellId),
+        /// A cell was shared across projects.
+        CellShared "cell-shared" (id: CellId),
+        /// A variant was promoted into a new cell version.
+        VariantPromoted "variant-promoted" (cv: CellVersionId => new, variant: VariantId => new),
+        /// A cell version was reserved into a workspace.
+        Reserved "reserved" (id: CellVersionId),
+        /// A cell version was published.
+        Published "published" (id: CellVersionId),
+        /// A design object was created.
+        DesignObjectCreated "design-object-created" (id: DesignObjectId => new),
+        /// A design object version was added.
+        DovAdded "dov-added" (id: DovId => new),
+        /// Two design object versions were marked equivalent.
+        MarkedEquivalent "marked-equivalent" (a: DovId, b: DovId),
+        /// A branch workspace merged forward cleanly; carries the versions
+        /// it published.
+        MergeApplied "merge-applied" {
+            /// The cell version merged into.
+            cv: CellVersionId,
+            /// The design object versions the merge created.
+            dovs: Vec<DovId> => new,
+        },
+        /// A branch workspace could not merge forward; nothing changed.
+        ///
+        /// This is a *successful* op outcome — the conflict set is the
+        /// answer, journaled and replayed like any other event — so a
+        /// conflicted merge never poisons the journal with partial state.
+        MergeConflict "merge-conflict" {
+            /// The cell version the merge targeted.
+            cv: CellVersionId,
+            /// Every conflict found, in deterministic order: a reservation
+            /// conflict first, then design-object conflicts in the
+            /// workspace's staging order.
+            conflicts: Vec<MergeConflict>,
+        },
+        /// An encapsulated activity ran; carries the versions it created.
+        ActivityRun "activity-run" {
+            /// The design object versions the run produced.
+            dovs: Vec<DovId> => new,
+        },
+        /// A design object version was browsed.
+        Browsed "browsed" {
+            /// The data read.
+            data: Blob,
+        },
+        /// Design data was read via the desktop.
+        DesignDataRead "design-data-read" {
+            /// The data read.
+            data: Blob,
+        },
+        /// A configuration was created.
+        ConfigurationCreated "configuration-created" (id: ConfigId => new),
+        /// A configuration version was frozen.
+        ConfigVersionCreated "config-version-created" (id: ConfigVersionId => new),
+        /// A configuration version was exported to the file system.
+        ConfigExported "config-exported" (manifest: ExportManifest),
+        /// Layout-versus-schematic ran on a variant.
+        LvsRun "lvs-run" (report: LvsReport),
+        /// The future-work feature switches changed.
+        FutureFeaturesSet "future-features-set",
+        /// The staging mode changed.
+        StagingModeSet "staging-mode-set",
+        /// An uncoupled FMCAD library was imported.
+        LibraryImported "library-imported" (project: ProjectId => new, report: ImportReport),
+        /// A standalone FMCAD library was created.
+        FmcadLibraryCreated "fmcad-library-created",
+        /// An FMCAD cell was created directly.
+        FmcadCellCreated "fmcad-cell-created",
+        /// An FMCAD cellview was created directly.
+        FmcadCellviewCreated "fmcad-cellview-created",
+        /// An FMCAD cellview was checked out directly.
+        FmcadCheckedOut "fmcad-checked-out" {
+            /// The checked-out data.
+            data: Blob,
+        },
+        /// Data was checked into an FMCAD cellview directly.
+        FmcadCheckedIn "fmcad-checked-in" {
+            /// The new version number.
+            version: u32,
+        },
+        /// An FMCAD cellview version was purged.
+        FmcadVersionPurged "fmcad-version-purged",
+        /// A versioned library file was overwritten out-of-band.
+        FmcadFileWritten "fmcad-file-written",
+    }
+}
+
+impl Event {
+    /// The ids this event creates, in line order — the order the shard
+    /// router numbers their virtual ids in.
+    pub(crate) fn created_ids(&self) -> Vec<u64> {
+        let mut ids = Vec::new();
+        let walked = self.clone().walk_ids(&mut |created, raw| {
+            if created {
+                ids.push(*raw);
+            }
+            Ok(())
+        });
+        walked.expect("the visitor never fails");
+        ids
+    }
 }
 
 /// One reason a [`Workspace`](crate::Workspace) merge could not go
@@ -161,419 +191,6 @@ pub enum MergeConflict {
         /// The version count found at merge time.
         found: u32,
     },
-}
-
-impl Event {
-    /// The stable kind name of this event.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Event::UserAdded(_) => "user-added",
-            Event::TeamAdded(_) => "team-added",
-            Event::TeamMemberAdded(..) => "team-member-added",
-            Event::ViewtypeRegistered(_) => "viewtype-registered",
-            Event::ToolRegistered(_) => "tool-registered",
-            Event::StandardFlowDefined(_) => "standard-flow-defined",
-            Event::QualityGatedFlowDefined(_) => "quality-gated-flow-defined",
-            Event::FlowDefined(_) => "flow-defined",
-            Event::ActivityAdded(_) => "activity-added",
-            Event::FlowFrozen(_) => "flow-frozen",
-            Event::ProjectCreated(_) => "project-created",
-            Event::CellCreated(_) => "cell-created",
-            Event::CellVersionCreated(..) => "cell-version-created",
-            Event::VariantDerived(_) => "variant-derived",
-            Event::CompOfDeclared(..) => "comp-of-declared",
-            Event::CellShared(_) => "cell-shared",
-            Event::VariantPromoted(..) => "variant-promoted",
-            Event::Reserved(_) => "reserved",
-            Event::Published(_) => "published",
-            Event::DesignObjectCreated(_) => "design-object-created",
-            Event::DovAdded(_) => "dov-added",
-            Event::MarkedEquivalent(..) => "marked-equivalent",
-            Event::MergeApplied { .. } => "merge-applied",
-            Event::MergeConflict { .. } => "merge-conflict",
-            Event::ActivityRun { .. } => "activity-run",
-            Event::Browsed { .. } => "browsed",
-            Event::DesignDataRead { .. } => "design-data-read",
-            Event::ConfigurationCreated(_) => "configuration-created",
-            Event::ConfigVersionCreated(_) => "config-version-created",
-            Event::ConfigExported(_) => "config-exported",
-            Event::LvsRun(_) => "lvs-run",
-            Event::FutureFeaturesSet => "future-features-set",
-            Event::StagingModeSet => "staging-mode-set",
-            Event::LibraryImported(..) => "library-imported",
-            Event::FmcadLibraryCreated => "fmcad-library-created",
-            Event::FmcadCellCreated => "fmcad-cell-created",
-            Event::FmcadCellviewCreated => "fmcad-cellview-created",
-            Event::FmcadCheckedOut { .. } => "fmcad-checked-out",
-            Event::FmcadCheckedIn { .. } => "fmcad-checked-in",
-            Event::FmcadVersionPurged => "fmcad-version-purged",
-            Event::FmcadFileWritten => "fmcad-file-written",
-        }
-    }
-}
-
-// --- wire codec -------------------------------------------------------------
-//
-// The network front-end ships each committed event back to the client
-// in the same one-line `kind|field=value` form as the ops journal, so
-// a wire response is exactly one hex-armoured line inside one frame.
-
-use cad_tools::LvsViolation;
-use oms::persist::{assemble, enc_ids, enc_str, hex, unhex, Fields};
-
-fn enc_manifest(m: &ExportManifest) -> Vec<(&'static str, String)> {
-    let files = m
-        .files
-        .iter()
-        .map(|(name, bytes)| format!("{}:{bytes}", enc_str(name)))
-        .collect::<Vec<_>>()
-        .join(";");
-    vec![("files", files), ("total", m.total_bytes.to_string())]
-}
-
-fn parse_manifest(f: &Fields<'_>) -> Result<ExportManifest, String> {
-    let raw = f.get("files")?;
-    let mut files = Vec::new();
-    if !raw.is_empty() {
-        for pair in raw.split(';') {
-            let (name, bytes) = pair
-                .split_once(':')
-                .ok_or_else(|| "bad manifest entry".to_owned())?;
-            let name =
-                String::from_utf8(unhex(name).ok_or_else(|| "bad manifest name hex".to_owned())?)
-                    .map_err(|_| "manifest name is not utf-8".to_owned())?;
-            let bytes: u64 = bytes
-                .parse()
-                .map_err(|_| "bad manifest byte count".to_owned())?;
-            files.push((name, bytes));
-        }
-    }
-    Ok(ExportManifest {
-        files,
-        total_bytes: f.num("total")?,
-    })
-}
-
-fn enc_lvs(report: &LvsReport) -> Vec<(&'static str, String)> {
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| match v {
-            LvsViolation::MissingNet { net } => format!("missing:{}", enc_str(net)),
-            LvsViolation::PhantomNet { net } => format!("phantom:{}", enc_str(net)),
-            LvsViolation::InstanceMismatch {
-                cell,
-                schematic,
-                layout,
-            } => format!("instance:{}:{schematic}:{layout}", enc_str(cell)),
-        })
-        .collect::<Vec<_>>()
-        .join(";");
-    vec![
-        ("matched", report.matched_nets.to_string()),
-        ("violations", violations),
-    ]
-}
-
-fn parse_lvs(f: &Fields<'_>) -> Result<LvsReport, String> {
-    let dec_str = |raw: &str| -> Result<String, String> {
-        String::from_utf8(unhex(raw).ok_or_else(|| "bad lvs hex".to_owned())?)
-            .map_err(|_| "lvs name is not utf-8".to_owned())
-    };
-    let raw = f.get("violations")?;
-    let mut violations = Vec::new();
-    if !raw.is_empty() {
-        for entry in raw.split(';') {
-            let (tag, rest) = entry
-                .split_once(':')
-                .ok_or_else(|| "bad lvs violation".to_owned())?;
-            violations.push(match tag {
-                "missing" => LvsViolation::MissingNet {
-                    net: dec_str(rest)?,
-                },
-                "phantom" => LvsViolation::PhantomNet {
-                    net: dec_str(rest)?,
-                },
-                "instance" => {
-                    let mut parts = rest.splitn(3, ':');
-                    let cell = dec_str(parts.next().ok_or_else(|| "bad lvs cell".to_owned())?)?;
-                    let schematic = parts
-                        .next()
-                        .and_then(|p| p.parse().ok())
-                        .ok_or_else(|| "bad lvs instance count".to_owned())?;
-                    let layout = parts
-                        .next()
-                        .and_then(|p| p.parse().ok())
-                        .ok_or_else(|| "bad lvs placement count".to_owned())?;
-                    LvsViolation::InstanceMismatch {
-                        cell,
-                        schematic,
-                        layout,
-                    }
-                }
-                other => return Err(format!("unknown lvs violation tag {other:?}")),
-            });
-        }
-    }
-    Ok(LvsReport {
-        violations,
-        matched_nets: f.num("matched")?,
-    })
-}
-
-fn enc_conflicts(conflicts: &[MergeConflict]) -> String {
-    conflicts
-        .iter()
-        .map(|c| match c {
-            MergeConflict::ReservedByOther { holder } => format!("r:{}", holder.raw()),
-            MergeConflict::DesignObjectAdvanced {
-                design_object,
-                expected,
-                found,
-            } => format!("a:{}:{expected}:{found}", design_object.raw()),
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-fn parse_conflicts(f: &Fields<'_>) -> Result<Vec<MergeConflict>, String> {
-    let raw = f.get("conflicts")?;
-    let mut conflicts = Vec::new();
-    if !raw.is_empty() {
-        for entry in raw.split(';') {
-            let (tag, rest) = entry
-                .split_once(':')
-                .ok_or_else(|| "bad merge conflict".to_owned())?;
-            conflicts.push(match tag {
-                "r" => MergeConflict::ReservedByOther {
-                    holder: UserId::from_raw(
-                        rest.parse().map_err(|_| "bad conflict holder".to_owned())?,
-                    ),
-                },
-                "a" => {
-                    let mut parts = rest.splitn(3, ':');
-                    let design_object = parts
-                        .next()
-                        .and_then(|p| p.parse().ok())
-                        .map(DesignObjectId::from_raw)
-                        .ok_or_else(|| "bad conflict design object".to_owned())?;
-                    let expected = parts
-                        .next()
-                        .and_then(|p| p.parse().ok())
-                        .ok_or_else(|| "bad conflict expected count".to_owned())?;
-                    let found = parts
-                        .next()
-                        .and_then(|p| p.parse().ok())
-                        .ok_or_else(|| "bad conflict found count".to_owned())?;
-                    MergeConflict::DesignObjectAdvanced {
-                        design_object,
-                        expected,
-                        found,
-                    }
-                }
-                other => return Err(format!("unknown merge conflict tag {other:?}")),
-            });
-        }
-    }
-    Ok(conflicts)
-}
-
-fn enc_standard_flow(flow: &StandardFlow) -> Vec<(&'static str, String)> {
-    vec![
-        ("flow", flow.flow.raw().to_string()),
-        ("enter_schematic", flow.enter_schematic.raw().to_string()),
-        ("enter_layout", flow.enter_layout.raw().to_string()),
-        ("simulate", flow.simulate.raw().to_string()),
-    ]
-}
-
-fn parse_standard_flow(f: &Fields<'_>) -> Result<StandardFlow, String> {
-    Ok(StandardFlow {
-        flow: f.id("flow", FlowId::from_raw)?,
-        enter_schematic: f.id("enter_schematic", ActivityId::from_raw)?,
-        enter_layout: f.id("enter_layout", ActivityId::from_raw)?,
-        simulate: f.id("simulate", ActivityId::from_raw)?,
-    })
-}
-
-impl Event {
-    /// Serialises the event into its one-line wire form
-    /// (`kind|field=value|...` with hex-armoured strings and payloads),
-    /// the response-side counterpart of [`Op::to_line`](crate::Op::to_line).
-    pub fn to_line(&self) -> String {
-        let mut f: Vec<(&str, String)> = Vec::new();
-        match self {
-            Event::UserAdded(id) => f.push(("id", id.raw().to_string())),
-            Event::TeamAdded(id) => f.push(("id", id.raw().to_string())),
-            Event::TeamMemberAdded(team, user) => {
-                f.push(("team", team.raw().to_string()));
-                f.push(("user", user.raw().to_string()));
-            }
-            Event::ViewtypeRegistered(id) => f.push(("id", id.raw().to_string())),
-            Event::ToolRegistered(id) => f.push(("id", id.raw().to_string())),
-            Event::StandardFlowDefined(flow) | Event::QualityGatedFlowDefined(flow) => {
-                f.extend(enc_standard_flow(flow));
-            }
-            Event::FlowDefined(id) => f.push(("id", id.raw().to_string())),
-            Event::ActivityAdded(id) => f.push(("id", id.raw().to_string())),
-            Event::FlowFrozen(id) => f.push(("id", id.raw().to_string())),
-            Event::ProjectCreated(id) => f.push(("id", id.raw().to_string())),
-            Event::CellCreated(id) => f.push(("id", id.raw().to_string())),
-            Event::CellVersionCreated(cv, variant) | Event::VariantPromoted(cv, variant) => {
-                f.push(("cv", cv.raw().to_string()));
-                f.push(("variant", variant.raw().to_string()));
-            }
-            Event::VariantDerived(id) => f.push(("id", id.raw().to_string())),
-            Event::CompOfDeclared(cv, child) => {
-                f.push(("cv", cv.raw().to_string()));
-                f.push(("child", child.raw().to_string()));
-            }
-            Event::CellShared(id) => f.push(("id", id.raw().to_string())),
-            Event::Reserved(id) => f.push(("id", id.raw().to_string())),
-            Event::Published(id) => f.push(("id", id.raw().to_string())),
-            Event::DesignObjectCreated(id) => f.push(("id", id.raw().to_string())),
-            Event::DovAdded(id) => f.push(("id", id.raw().to_string())),
-            Event::MarkedEquivalent(a, b) => {
-                f.push(("a", a.raw().to_string()));
-                f.push(("b", b.raw().to_string()));
-            }
-            Event::ActivityRun { dovs } => f.push(("dovs", enc_ids(dovs, DovId::raw))),
-            Event::MergeApplied { cv, dovs } => {
-                f.push(("cv", cv.raw().to_string()));
-                f.push(("dovs", enc_ids(dovs, DovId::raw)));
-            }
-            Event::MergeConflict { cv, conflicts } => {
-                f.push(("cv", cv.raw().to_string()));
-                f.push(("conflicts", enc_conflicts(conflicts)));
-            }
-            Event::Browsed { data } | Event::DesignDataRead { data } => {
-                f.push(("data", hex(data)));
-            }
-            Event::ConfigurationCreated(id) => f.push(("id", id.raw().to_string())),
-            Event::ConfigVersionCreated(id) => f.push(("id", id.raw().to_string())),
-            Event::ConfigExported(manifest) => f.extend(enc_manifest(manifest)),
-            Event::LvsRun(report) => f.extend(enc_lvs(report)),
-            Event::FutureFeaturesSet
-            | Event::StagingModeSet
-            | Event::FmcadLibraryCreated
-            | Event::FmcadCellCreated
-            | Event::FmcadCellviewCreated
-            | Event::FmcadVersionPurged
-            | Event::FmcadFileWritten => {}
-            Event::LibraryImported(project, report) => {
-                f.push(("project", project.raw().to_string()));
-                f.push(("cells", report.cells.to_string()));
-                f.push(("design_objects", report.design_objects.to_string()));
-                f.push(("versions", report.versions.to_string()));
-                f.push(("bytes_copied", report.bytes_copied.to_string()));
-            }
-            Event::FmcadCheckedOut { data } => f.push(("data", hex(data))),
-            Event::FmcadCheckedIn { version } => f.push(("version", version.to_string())),
-        }
-        assemble(self.kind_name(), &f)
-    }
-
-    /// Parses an event back from its [`Event::to_line`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HybridError::Journal`] for malformed lines.
-    pub fn parse_line(line: &str) -> Result<Event, HybridError> {
-        Self::parse_inner(line).map_err(HybridError::Journal)
-    }
-
-    fn parse_inner(line: &str) -> Result<Event, String> {
-        let f = Fields::parse(line)?;
-        let event = match f.kind {
-            "user-added" => Event::UserAdded(f.id("id", UserId::from_raw)?),
-            "team-added" => Event::TeamAdded(f.id("id", TeamId::from_raw)?),
-            "team-member-added" => Event::TeamMemberAdded(
-                f.id("team", TeamId::from_raw)?,
-                f.id("user", UserId::from_raw)?,
-            ),
-            "viewtype-registered" => Event::ViewtypeRegistered(f.id("id", ViewTypeId::from_raw)?),
-            "tool-registered" => Event::ToolRegistered(f.id("id", ToolId::from_raw)?),
-            "standard-flow-defined" => Event::StandardFlowDefined(parse_standard_flow(&f)?),
-            "quality-gated-flow-defined" => {
-                Event::QualityGatedFlowDefined(parse_standard_flow(&f)?)
-            }
-            "flow-defined" => Event::FlowDefined(f.id("id", FlowId::from_raw)?),
-            "activity-added" => Event::ActivityAdded(f.id("id", ActivityId::from_raw)?),
-            "flow-frozen" => Event::FlowFrozen(f.id("id", FlowId::from_raw)?),
-            "project-created" => Event::ProjectCreated(f.id("id", ProjectId::from_raw)?),
-            "cell-created" => Event::CellCreated(f.id("id", CellId::from_raw)?),
-            "cell-version-created" => Event::CellVersionCreated(
-                f.id("cv", CellVersionId::from_raw)?,
-                f.id("variant", VariantId::from_raw)?,
-            ),
-            "variant-derived" => Event::VariantDerived(f.id("id", VariantId::from_raw)?),
-            "comp-of-declared" => Event::CompOfDeclared(
-                f.id("cv", CellVersionId::from_raw)?,
-                f.id("child", CellId::from_raw)?,
-            ),
-            "cell-shared" => Event::CellShared(f.id("id", CellId::from_raw)?),
-            "variant-promoted" => Event::VariantPromoted(
-                f.id("cv", CellVersionId::from_raw)?,
-                f.id("variant", VariantId::from_raw)?,
-            ),
-            "reserved" => Event::Reserved(f.id("id", CellVersionId::from_raw)?),
-            "published" => Event::Published(f.id("id", CellVersionId::from_raw)?),
-            "design-object-created" => {
-                Event::DesignObjectCreated(f.id("id", DesignObjectId::from_raw)?)
-            }
-            "dov-added" => Event::DovAdded(f.id("id", DovId::from_raw)?),
-            "marked-equivalent" => {
-                Event::MarkedEquivalent(f.id("a", DovId::from_raw)?, f.id("b", DovId::from_raw)?)
-            }
-            "activity-run" => Event::ActivityRun {
-                dovs: f.ids("dovs", DovId::from_raw)?,
-            },
-            "merge-applied" => Event::MergeApplied {
-                cv: f.id("cv", CellVersionId::from_raw)?,
-                dovs: f.ids("dovs", DovId::from_raw)?,
-            },
-            "merge-conflict" => Event::MergeConflict {
-                cv: f.id("cv", CellVersionId::from_raw)?,
-                conflicts: parse_conflicts(&f)?,
-            },
-            "browsed" => Event::Browsed {
-                data: f.blob("data")?,
-            },
-            "design-data-read" => Event::DesignDataRead {
-                data: f.blob("data")?,
-            },
-            "configuration-created" => Event::ConfigurationCreated(f.id("id", ConfigId::from_raw)?),
-            "config-version-created" => {
-                Event::ConfigVersionCreated(f.id("id", ConfigVersionId::from_raw)?)
-            }
-            "config-exported" => Event::ConfigExported(parse_manifest(&f)?),
-            "lvs-run" => Event::LvsRun(parse_lvs(&f)?),
-            "future-features-set" => Event::FutureFeaturesSet,
-            "staging-mode-set" => Event::StagingModeSet,
-            "library-imported" => Event::LibraryImported(
-                f.id("project", ProjectId::from_raw)?,
-                ImportReport {
-                    cells: f.num("cells")?,
-                    design_objects: f.num("design_objects")?,
-                    versions: f.num("versions")?,
-                    bytes_copied: f.num("bytes_copied")?,
-                },
-            ),
-            "fmcad-library-created" => Event::FmcadLibraryCreated,
-            "fmcad-cell-created" => Event::FmcadCellCreated,
-            "fmcad-cellview-created" => Event::FmcadCellviewCreated,
-            "fmcad-checked-out" => Event::FmcadCheckedOut {
-                data: f.blob("data")?,
-            },
-            "fmcad-checked-in" => Event::FmcadCheckedIn {
-                version: f.num("version")?,
-            },
-            "fmcad-version-purged" => Event::FmcadVersionPurged,
-            "fmcad-file-written" => Event::FmcadFileWritten,
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok(event)
-    }
 }
 
 /// Observer of the engine's op/event stream.
@@ -722,6 +339,7 @@ impl EventSink for CounterSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cad_tools::LvsViolation;
 
     #[test]
     fn trace_ring_drops_oldest() {
@@ -823,6 +441,60 @@ mod tests {
         assert!(Event::parse_line("user-added|id=zz").is_err());
         assert!(Event::parse_line("lvs-run|matched=1|violations=warp:00").is_err());
         assert!(Event::parse_line("merge-conflict|cv=1|conflicts=z:0").is_err());
+    }
+
+    #[test]
+    fn created_ids_come_in_line_order_and_skip_referenced_ones() {
+        let flow = StandardFlow {
+            flow: FlowId::from_raw(1),
+            enter_schematic: ActivityId::from_raw(2),
+            enter_layout: ActivityId::from_raw(3),
+            simulate: ActivityId::from_raw(4),
+        };
+        let cv = CellVersionId::from_raw(5);
+        let report = ImportReport {
+            cells: 1,
+            design_objects: 1,
+            versions: 1,
+            bytes_copied: 1,
+        };
+        let cases = [
+            (Event::StandardFlowDefined(flow), vec![1, 2, 3, 4]),
+            (Event::QualityGatedFlowDefined(flow), vec![1, 2, 3, 4]),
+            (
+                Event::CellVersionCreated(cv, VariantId::from_raw(6)),
+                vec![5, 6],
+            ),
+            (
+                Event::VariantPromoted(cv, VariantId::from_raw(6)),
+                vec![5, 6],
+            ),
+            (
+                Event::MergeApplied {
+                    cv,
+                    dovs: vec![DovId::from_raw(8), DovId::from_raw(9)],
+                },
+                vec![8, 9],
+            ),
+            (
+                Event::LibraryImported(ProjectId::from_raw(10), report),
+                vec![10],
+            ),
+            (Event::CompOfDeclared(cv, CellId::from_raw(11)), vec![]),
+            (
+                Event::MergeConflict {
+                    cv,
+                    conflicts: vec![MergeConflict::ReservedByOther {
+                        holder: UserId::from_raw(12),
+                    }],
+                },
+                vec![],
+            ),
+            (Event::FutureFeaturesSet, vec![]),
+        ];
+        for (event, created) in cases {
+            assert_eq!(event.created_ids(), created, "{event:?}");
+        }
     }
 
     #[test]

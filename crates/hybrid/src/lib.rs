@@ -73,6 +73,7 @@
 #![deny(clippy::redundant_clone)]
 
 mod builder;
+mod codec;
 mod consistency;
 mod encapsulation;
 mod engine;

@@ -104,17 +104,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use cad_vfs::{Blob, Vfs, VfsPath};
-use jcf::{
-    ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
-    ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
-};
+use jcf::{CellVersionId, DesignObjectId, DovId, UserId};
 use oms::persist::{enc_str, fnv64, fnv64_seeded, Fields};
-use oms::{PMap, PmapKey};
+use oms::PMap;
 
 use crate::engine::{Engine, RecoveryReport};
 use crate::error::{HybridError, HybridResult};
-use crate::events::{Event, MergeConflict};
-use crate::framework::{MirrorLocation, StagingMode, StandardFlow};
+use crate::events::Event;
+use crate::framework::{MirrorLocation, StagingMode};
 use crate::future::FutureFeatures;
 use crate::history::{HistoryRing, RetentionPolicy};
 use crate::lane::{lock, Lane, Outcome};
@@ -452,20 +449,12 @@ impl ShardRouter {
         }
     }
 
-    fn tr<T: PmapKey>(&self, id: T, shard: usize) -> Result<T, String> {
-        Ok(T::from_bits(self.resolve_raw(id.to_bits(), shard)?))
-    }
-
     /// local id on `shard` → vid (pass-through for bootstrap ids).
     fn rv_raw(&self, shard: usize, local: u64) -> u64 {
         self.tables.reverse[shard]
             .get(&local)
             .copied()
             .unwrap_or(local)
-    }
-
-    fn rv<T: PmapKey>(&self, shard: usize, id: T) -> T {
-        T::from_bits(self.rv_raw(shard, id.to_bits()))
     }
 
     fn shard_of_part(&self, part: u32) -> Result<usize, String> {
@@ -591,210 +580,12 @@ impl ShardRouter {
     /// Rebuilds `op` with every id translated into `shard`'s local id
     /// space. Errors when an id does not resolve onto that shard.
     fn translate(&self, op: &Op, shard: usize) -> Result<Op, String> {
-        use Op::*;
-        Ok(match op {
-            AddUser { .. }
-            | RegisterViewtype { .. }
-            | RegisterTool { .. }
-            | DefineStandardFlow { .. }
-            | DefineQualityGatedFlow { .. }
-            | CreateProject { .. }
-            | SetFutureFeatures { .. }
-            | SetStagingMode { .. }
-            | FmcadCreateLibrary { .. }
-            | FmcadCreateCell { .. }
-            | FmcadCreateCellview { .. }
-            | FmcadCheckout { .. }
-            | FmcadCheckin { .. }
-            | FmcadPurgeVersion { .. }
-            | FmcadDirectWrite { .. } => op.clone(),
-            AddTeam { actor, name } => AddTeam {
-                actor: self.tr(*actor, shard)?,
-                name: name.clone(),
-            },
-            AddTeamMember { actor, team, user } => AddTeamMember {
-                actor: self.tr(*actor, shard)?,
-                team: self.tr(*team, shard)?,
-                user: self.tr(*user, shard)?,
-            },
-            DefineFlow { actor, name } => DefineFlow {
-                actor: self.tr(*actor, shard)?,
-                name: name.clone(),
-            },
-            AddActivity {
-                actor,
-                flow,
-                name,
-                tool,
-                needs,
-                creates,
-                predecessors,
-            } => AddActivity {
-                actor: self.tr(*actor, shard)?,
-                flow: self.tr(*flow, shard)?,
-                name: name.clone(),
-                tool: self.tr(*tool, shard)?,
-                needs: self.tr_vec(needs, shard)?,
-                creates: self.tr_vec(creates, shard)?,
-                predecessors: self.tr_vec(predecessors, shard)?,
-            },
-            FreezeFlow { actor, flow } => FreezeFlow {
-                actor: self.tr(*actor, shard)?,
-                flow: self.tr(*flow, shard)?,
-            },
-            CreateCell { project, name } => CreateCell {
-                project: self.tr(*project, shard)?,
-                name: name.clone(),
-            },
-            CreateCellVersion { cell, flow, team } => CreateCellVersion {
-                cell: self.tr(*cell, shard)?,
-                flow: self.tr(*flow, shard)?,
-                team: self.tr(*team, shard)?,
-            },
-            DeriveVariant {
-                user,
-                cv,
-                name,
-                base,
-            } => DeriveVariant {
-                user: self.tr(*user, shard)?,
-                cv: self.tr(*cv, shard)?,
-                name: name.clone(),
-                base: match base {
-                    Some(b) => Some(self.tr(*b, shard)?),
-                    None => None,
-                },
-            },
-            DeclareCompOf { user, cv, child } => DeclareCompOf {
-                user: self.tr(*user, shard)?,
-                cv: self.tr(*cv, shard)?,
-                child: self.tr(*child, shard)?,
-            },
-            ShareCell { actor, cell } => ShareCell {
-                actor: self.tr(*actor, shard)?,
-                cell: self.tr(*cell, shard)?,
-            },
-            PromoteVariant { user, winner } => PromoteVariant {
-                user: self.tr(*user, shard)?,
-                winner: self.tr(*winner, shard)?,
-            },
-            Reserve { user, cv } => Reserve {
-                user: self.tr(*user, shard)?,
-                cv: self.tr(*cv, shard)?,
-            },
-            Publish { user, cv } => Publish {
-                user: self.tr(*user, shard)?,
-                cv: self.tr(*cv, shard)?,
-            },
-            CreateDesignObject {
-                user,
-                variant,
-                name,
-                viewtype,
-            } => CreateDesignObject {
-                user: self.tr(*user, shard)?,
-                variant: self.tr(*variant, shard)?,
-                name: name.clone(),
-                viewtype: self.tr(*viewtype, shard)?,
-            },
-            AddDesignObjectVersion {
-                user,
-                design_object,
-                data,
-            } => AddDesignObjectVersion {
-                user: self.tr(*user, shard)?,
-                design_object: self.tr(*design_object, shard)?,
-                data: data.clone(),
-            },
-            MarkEquivalent { a, b } => MarkEquivalent {
-                a: self.tr(*a, shard)?,
-                b: self.tr(*b, shard)?,
-            },
-            MergeForward {
-                user,
-                cv,
-                base_seq,
-                expected,
-                writes,
-            } => MergeForward {
-                user: self.tr(*user, shard)?,
-                cv: self.tr(*cv, shard)?,
-                base_seq: *base_seq,
-                expected: expected
-                    .iter()
-                    .map(|(d, n)| Ok((self.tr(*d, shard)?, *n)))
-                    .collect::<Result<Vec<_>, String>>()?,
-                writes: writes
-                    .iter()
-                    .map(|(d, data)| Ok((self.tr(*d, shard)?, data.clone())))
-                    .collect::<Result<Vec<_>, String>>()?,
-            },
-            RunActivity {
-                user,
-                variant,
-                activity,
-                override_pending,
-                outputs,
-                session_error,
-            } => RunActivity {
-                user: self.tr(*user, shard)?,
-                variant: self.tr(*variant, shard)?,
-                activity: self.tr(*activity, shard)?,
-                override_pending: *override_pending,
-                outputs: outputs.clone(),
-                session_error: session_error.clone(),
-            },
-            Browse { user, dov } => Browse {
-                user: self.tr(*user, shard)?,
-                dov: self.tr(*dov, shard)?,
-            },
-            ReadDesignData { user, dov } => ReadDesignData {
-                user: self.tr(*user, shard)?,
-                dov: self.tr(*dov, shard)?,
-            },
-            CreateConfiguration { user, cv, name } => CreateConfiguration {
-                user: self.tr(*user, shard)?,
-                cv: self.tr(*cv, shard)?,
-                name: name.clone(),
-            },
-            CreateConfigVersion {
-                user,
-                config,
-                contents,
-            } => CreateConfigVersion {
-                user: self.tr(*user, shard)?,
-                config: self.tr(*config, shard)?,
-                contents: self.tr_vec(contents, shard)?,
-            },
-            ExportConfig {
-                user,
-                config_version,
-                dest,
-            } => ExportConfig {
-                user: self.tr(*user, shard)?,
-                config_version: self.tr(*config_version, shard)?,
-                dest: dest.clone(),
-            },
-            RunLvs { user, variant } => RunLvs {
-                user: self.tr(*user, shard)?,
-                variant: self.tr(*variant, shard)?,
-            },
-            ImportLibrary {
-                actor,
-                library,
-                flow,
-                team,
-            } => ImportLibrary {
-                actor: self.tr(*actor, shard)?,
-                library: library.clone(),
-                flow: self.tr(*flow, shard)?,
-                team: self.tr(*team, shard)?,
-            },
-        })
-    }
-
-    fn tr_vec<T: PmapKey>(&self, ids: &[T], shard: usize) -> Result<Vec<T>, String> {
-        ids.iter().map(|id| self.tr(*id, shard)).collect()
+        let mut local = op.clone();
+        local.walk_ids(&mut |_, raw| {
+            *raw = self.resolve_raw(*raw, shard)?;
+            Ok(())
+        })?;
+        Ok(local)
     }
 }
 
@@ -972,197 +763,58 @@ impl ShardRouter {
 
     /// Translates an apply outcome into virtual-id form, allocating
     /// and registering `vid = VIRT_BASE + seq*256 + k` for every id
-    /// the event *created* (slot order is fixed per event kind) and
-    /// reverse-mapping every id it merely *references*. For broadcast
-    /// outcomes (`local == None`) `events` is indexed by shard and the
-    /// vid maps to one local id per shard.
+    /// the event *created* (`k` counts the created ids in line order)
+    /// and reverse-mapping every id it merely *references*. For
+    /// broadcast outcomes (`local == None`) `events` is indexed by
+    /// shard and the vid maps to one local id per shard.
     fn translate_outcome(
         &mut self,
         seq: u64,
         events: &[Event],
         local: Option<(usize, Option<u32>)>,
     ) -> Event {
-        fn alloc(
-            router: &mut ShardRouter,
-            seq: u64,
-            k: u64,
-            events: &[Event],
-            local: Option<(usize, Option<u32>)>,
-            extract: &dyn Fn(&Event) -> u64,
-        ) -> u64 {
+        let created_per_shard: Vec<Vec<u64>> = match local {
+            Some(_) => Vec::new(),
+            None => events
+                .iter()
+                .map(|event| {
+                    assert_eq!(
+                        event.kind_name(),
+                        events[0].kind_name(),
+                        "apply outcomes diverged across shards"
+                    );
+                    event.created_ids()
+                })
+                .collect(),
+        };
+        let ref_shard = local.map_or(0, |(shard, _)| shard);
+        let mut virt = events[0].clone();
+        let mut k = 0;
+        let walked = virt.walk_ids(&mut |created, raw| {
+            if !created {
+                *raw = self.rv_raw(ref_shard, *raw);
+                return Ok(());
+            }
             assert!(k < VID_STRIDE, "one op created {k}+ ids");
-            let vid = VIRT_BASE + seq * VID_STRIDE + k;
             let entry = match local {
                 Some((_, part)) => VirtEntry::Sharded {
                     part: part.expect("creator ops carry their owning partition"),
-                    local: extract(&events[0]),
+                    local: *raw,
                 },
                 None => VirtEntry::Broadcast {
-                    locals: events.iter().map(&extract).collect(),
+                    locals: created_per_shard
+                        .iter()
+                        .map(|ids| ids[k as usize])
+                        .collect(),
                 },
             };
-            router.register(vid, entry);
-            vid
-        }
-        let ref_shard = local.map(|(shard, _)| shard).unwrap_or(0);
-        macro_rules! slot {
-            ($k:expr, $pat:pat => $raw:expr) => {
-                alloc(self, seq, $k, events, local, &|e| match e {
-                    $pat => $raw,
-                    _ => unreachable!("apply outcomes diverged across shards"),
-                })
-            };
-        }
-        match events[0].clone() {
-            Event::UserAdded(_) => {
-                Event::UserAdded(UserId::from_raw(slot!(0, Event::UserAdded(x) => x.raw())))
-            }
-            Event::TeamAdded(_) => {
-                Event::TeamAdded(TeamId::from_raw(slot!(0, Event::TeamAdded(x) => x.raw())))
-            }
-            Event::TeamMemberAdded(team, user) => {
-                Event::TeamMemberAdded(self.rv(ref_shard, team), self.rv(ref_shard, user))
-            }
-            Event::ViewtypeRegistered(_) => Event::ViewtypeRegistered(ViewTypeId::from_raw(
-                slot!(0, Event::ViewtypeRegistered(x) => x.raw()),
-            )),
-            Event::ToolRegistered(_) => Event::ToolRegistered(ToolId::from_raw(
-                slot!(0, Event::ToolRegistered(x) => x.raw()),
-            )),
-            Event::StandardFlowDefined(_) => {
-                let flow = slot!(0, Event::StandardFlowDefined(f) => f.flow.raw());
-                let schematic = slot!(1, Event::StandardFlowDefined(f) => f.enter_schematic.raw());
-                let layout = slot!(2, Event::StandardFlowDefined(f) => f.enter_layout.raw());
-                let simulate = slot!(3, Event::StandardFlowDefined(f) => f.simulate.raw());
-                Event::StandardFlowDefined(StandardFlow {
-                    flow: FlowId::from_raw(flow),
-                    enter_schematic: ActivityId::from_raw(schematic),
-                    enter_layout: ActivityId::from_raw(layout),
-                    simulate: ActivityId::from_raw(simulate),
-                })
-            }
-            Event::QualityGatedFlowDefined(_) => {
-                let flow = slot!(0, Event::QualityGatedFlowDefined(f) => f.flow.raw());
-                let schematic =
-                    slot!(1, Event::QualityGatedFlowDefined(f) => f.enter_schematic.raw());
-                let layout = slot!(2, Event::QualityGatedFlowDefined(f) => f.enter_layout.raw());
-                let simulate = slot!(3, Event::QualityGatedFlowDefined(f) => f.simulate.raw());
-                Event::QualityGatedFlowDefined(StandardFlow {
-                    flow: FlowId::from_raw(flow),
-                    enter_schematic: ActivityId::from_raw(schematic),
-                    enter_layout: ActivityId::from_raw(layout),
-                    simulate: ActivityId::from_raw(simulate),
-                })
-            }
-            Event::FlowDefined(_) => {
-                Event::FlowDefined(FlowId::from_raw(slot!(0, Event::FlowDefined(x) => x.raw())))
-            }
-            Event::ActivityAdded(_) => Event::ActivityAdded(ActivityId::from_raw(
-                slot!(0, Event::ActivityAdded(x) => x.raw()),
-            )),
-            Event::FlowFrozen(flow) => Event::FlowFrozen(self.rv(ref_shard, flow)),
-            Event::ProjectCreated(_) => Event::ProjectCreated(ProjectId::from_raw(
-                slot!(0, Event::ProjectCreated(x) => x.raw()),
-            )),
-            Event::CellCreated(_) => {
-                Event::CellCreated(CellId::from_raw(slot!(0, Event::CellCreated(x) => x.raw())))
-            }
-            Event::CellVersionCreated(..) => {
-                let cv = slot!(0, Event::CellVersionCreated(cv, _) => cv.raw());
-                let variant = slot!(1, Event::CellVersionCreated(_, v) => v.raw());
-                Event::CellVersionCreated(CellVersionId::from_raw(cv), VariantId::from_raw(variant))
-            }
-            Event::VariantDerived(_) => Event::VariantDerived(VariantId::from_raw(
-                slot!(0, Event::VariantDerived(x) => x.raw()),
-            )),
-            Event::CompOfDeclared(cv, cell) => {
-                Event::CompOfDeclared(self.rv(ref_shard, cv), self.rv(ref_shard, cell))
-            }
-            Event::CellShared(cell) => Event::CellShared(self.rv(ref_shard, cell)),
-            Event::VariantPromoted(..) => {
-                let cv = slot!(0, Event::VariantPromoted(cv, _) => cv.raw());
-                let variant = slot!(1, Event::VariantPromoted(_, v) => v.raw());
-                Event::VariantPromoted(CellVersionId::from_raw(cv), VariantId::from_raw(variant))
-            }
-            Event::Reserved(cv) => Event::Reserved(self.rv(ref_shard, cv)),
-            Event::Published(cv) => Event::Published(self.rv(ref_shard, cv)),
-            Event::DesignObjectCreated(_) => Event::DesignObjectCreated(DesignObjectId::from_raw(
-                slot!(0, Event::DesignObjectCreated(x) => x.raw()),
-            )),
-            Event::DovAdded(_) => {
-                Event::DovAdded(DovId::from_raw(slot!(0, Event::DovAdded(x) => x.raw())))
-            }
-            Event::MarkedEquivalent(a, b) => {
-                Event::MarkedEquivalent(self.rv(ref_shard, a), self.rv(ref_shard, b))
-            }
-            Event::ActivityRun { dovs } => {
-                let mut virt = Vec::with_capacity(dovs.len());
-                for k in 0..dovs.len() {
-                    virt.push(DovId::from_raw(
-                        slot!(k as u64, Event::ActivityRun { dovs } => dovs[k].raw()),
-                    ));
-                }
-                Event::ActivityRun { dovs: virt }
-            }
-            Event::MergeApplied { cv, dovs } => {
-                let virt_cv = self.rv(ref_shard, cv);
-                let mut virt = Vec::with_capacity(dovs.len());
-                for k in 0..dovs.len() {
-                    virt.push(DovId::from_raw(
-                        slot!(k as u64, Event::MergeApplied { dovs, .. } => dovs[k].raw()),
-                    ));
-                }
-                Event::MergeApplied {
-                    cv: virt_cv,
-                    dovs: virt,
-                }
-            }
-            Event::MergeConflict { cv, conflicts } => Event::MergeConflict {
-                cv: self.rv(ref_shard, cv),
-                conflicts: conflicts
-                    .into_iter()
-                    .map(|c| match c {
-                        MergeConflict::ReservedByOther { holder } => {
-                            MergeConflict::ReservedByOther {
-                                holder: self.rv(ref_shard, holder),
-                            }
-                        }
-                        MergeConflict::DesignObjectAdvanced {
-                            design_object,
-                            expected,
-                            found,
-                        } => MergeConflict::DesignObjectAdvanced {
-                            design_object: self.rv(ref_shard, design_object),
-                            expected,
-                            found,
-                        },
-                    })
-                    .collect(),
-            },
-            Event::ConfigurationCreated(_) => Event::ConfigurationCreated(ConfigId::from_raw(
-                slot!(0, Event::ConfigurationCreated(x) => x.raw()),
-            )),
-            Event::ConfigVersionCreated(_) => Event::ConfigVersionCreated(
-                ConfigVersionId::from_raw(slot!(0, Event::ConfigVersionCreated(x) => x.raw())),
-            ),
-            Event::LibraryImported(_, report) => Event::LibraryImported(
-                ProjectId::from_raw(slot!(0, Event::LibraryImported(p, _) => p.raw())),
-                report,
-            ),
-            passthrough @ (Event::Browsed { .. }
-            | Event::DesignDataRead { .. }
-            | Event::ConfigExported(_)
-            | Event::LvsRun(_)
-            | Event::FutureFeaturesSet
-            | Event::StagingModeSet
-            | Event::FmcadLibraryCreated
-            | Event::FmcadCellCreated
-            | Event::FmcadCellviewCreated
-            | Event::FmcadCheckedOut { .. }
-            | Event::FmcadCheckedIn { .. }
-            | Event::FmcadVersionPurged
-            | Event::FmcadFileWritten) => passthrough,
-        }
+            *raw = VIRT_BASE + seq * VID_STRIDE + k;
+            self.register(*raw, entry);
+            k += 1;
+            Ok(())
+        });
+        walked.expect("the outcome walk cannot fail");
+        virt
     }
 
     // -- router image (router.meta) ----------------------------------------
@@ -2580,6 +2232,8 @@ impl ShardedService {
 mod tests {
     use super::*;
     use crate::encapsulation::ToolOutput;
+    use crate::framework::StandardFlow;
+    use jcf::{CellId, ProjectId, TeamId, VariantId};
 
     /// The recorded sharded fixture's envelope logs, router images and
     /// epoch metadata parse and re-render to the bytes on disk.

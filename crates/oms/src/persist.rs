@@ -26,10 +26,13 @@
 //! is its records applied to an empty database. The operations journal
 //! between checkpoints uses the line-framed [`render_journal`] format.
 //!
-//! The module also owns the one `kind|key=value|...` record codec of
-//! the stack — [`assemble`], [`Fields`], [`hex`] and [`unhex`] — that
-//! the op and event lines, the wire frames, the chain manifest and the
-//! sharded journals and images are written and read with.
+//! The module also owns the record codec of the stack — [`assemble`]
+//! and [`Fields`] for `kind|key=value|...` lines, [`hex`]/[`unhex`]
+//! for armour and [`dec`] for numbers — that the wire frames, the
+//! chain manifest and the sharded journals and images are written and
+//! read with; the op and event lines build on its readers. Each value
+//! has one spelling: hex is lower-case, and a number is plain digits
+//! with no sign or leading zero (a `-` only where the type is signed).
 
 use cad_vfs::{Vfs, VfsPath};
 
@@ -608,7 +611,7 @@ fn decode(encoded: &str) -> Option<Value> {
         (it.next()?, it.next()?)
     };
     match tag {
-        "int" => body.parse::<i64>().ok().map(Value::Int),
+        "int" => dec(body).map(Value::Int),
         "bool" => body.parse::<bool>().ok().map(Value::Bool),
         "text" => String::from_utf8(unhex(body)?).ok().map(Value::Text),
         "bytes" => unhex(body).map(Value::from),
@@ -619,19 +622,30 @@ fn decode(encoded: &str) -> Option<Value> {
 /// Lower-case hex of a byte string — the armour every image, delta
 /// and journal line uses for free-form text and payload bytes.
 pub fn hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(char::from(DIGITS[usize::from(b >> 4)]));
-        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
-    }
+    hex_into(&mut s, bytes);
     s
 }
 
-/// Decodes lower/upper-case hex; `None` on odd length or bad digits.
+/// Appends the [`hex`] armour of `bytes` to `out`.
+pub fn hex_into(out: &mut String, bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+}
+
+/// Decodes the [`hex`] armour; `None` on odd length or on any digit
+/// outside `0-9a-f` (upper case included: [`hex`] never writes it).
 pub fn unhex(s: &str) -> Option<Vec<u8>> {
     fn digit(c: u8) -> Option<u8> {
-        char::from(c).to_digit(16).map(|d| d as u8)
+        match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            _ => None,
+        }
     }
     let bytes = s.as_bytes();
     if !bytes.len().is_multiple_of(2) {
@@ -643,17 +657,27 @@ pub fn unhex(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
+/// Reads a decimal integer in the one spelling `Display` writes: ASCII
+/// digits, no `+`, no leading zero unless the number is `0`, and a `-`
+/// only before a non-zero magnitude of a signed type (`T`'s own parser
+/// refuses it for unsigned ones). `None` for any other spelling.
+pub fn dec<T: std::str::FromStr>(s: &str) -> Option<T> {
+    let magnitude = s.strip_prefix('-').unwrap_or(s).as_bytes();
+    let canonical = match magnitude {
+        [b'0'] => magnitude.len() == s.len(),
+        [b'1'..=b'9', rest @ ..] => rest.iter().all(u8::is_ascii_digit),
+        _ => false,
+    };
+    if canonical {
+        s.parse().ok()
+    } else {
+        None
+    }
+}
+
 /// Hex-armours a string field.
 pub fn enc_str(s: &str) -> String {
     hex(s.as_bytes())
-}
-
-/// Comma-joined raw id list, the form [`Fields::ids`] reads back.
-pub fn enc_ids<T: Copy>(ids: &[T], raw: impl Fn(T) -> u64) -> String {
-    ids.iter()
-        .map(|&i| raw(i).to_string())
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Assembles a `kind|key=value|...` record line from encoded fields.
@@ -669,9 +693,10 @@ pub fn assemble(kind: &str, fields: &[(&str, String)]) -> String {
 }
 
 /// A parsed `kind|key=value|...` record line — the one reader of the
-/// grammar the op journal, the event and wire frames, the chain
-/// manifest, the segment header, the envelope journal, the router
-/// image and the epoch metadata all share. Values are raw: strings
+/// grammar the wire frames, the chain manifest, the segment header,
+/// the envelope journal, the router image and the epoch metadata all
+/// share (the op and event lines have a declared, fixed-order reader
+/// of their own in the `hybrid` crate). Values are raw: strings
 /// and payloads stay hex-armoured until an accessor decodes them.
 pub struct Fields<'a> {
     /// The record kind: everything before the first `|`.
@@ -753,20 +778,17 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| format!("missing field {name:?} in {:?}", self.kind))
     }
 
-    /// A field parsed with [`FromStr`](std::str::FromStr): numbers,
-    /// booleans and named enums.
+    /// A decimal number field in its one spelling ([`dec`]).
     ///
     /// # Errors
     ///
-    /// The field is missing or does not parse.
+    /// The field is missing or is not a canonical number of type `T`.
     pub fn num<T>(&self, name: &str) -> Result<T, String>
     where
         T: std::str::FromStr,
         T::Err: std::fmt::Display,
     {
-        self.get(name)?
-            .parse()
-            .map_err(|e| format!("bad value in {name:?}: {e}"))
+        dec(self.get(name)?).ok_or_else(|| format!("bad number in {name:?}"))
     }
 
     /// A hex-armoured byte field.
@@ -786,44 +808,6 @@ impl<'a> Fields<'a> {
     /// not UTF-8.
     pub fn str(&self, name: &str) -> Result<String, String> {
         String::from_utf8(self.bytes(name)?).map_err(|_| format!("field {name:?} is not utf-8"))
-    }
-
-    /// A hex-armoured payload field.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fields::bytes`].
-    pub fn blob(&self, name: &str) -> Result<cad_vfs::Blob, String> {
-        self.bytes(name).map(cad_vfs::Blob::from)
-    }
-
-    /// A raw numeric id field, wrapped by `from`.
-    ///
-    /// # Errors
-    ///
-    /// The field is missing or not a number.
-    pub fn id<T>(&self, name: &str, from: impl Fn(u64) -> T) -> Result<T, String> {
-        Ok(from(self.num(name)?))
-    }
-
-    /// A comma-separated raw id list ([`enc_ids`]); the empty value is
-    /// the empty list.
-    ///
-    /// # Errors
-    ///
-    /// The field is missing or an element is not a number.
-    pub fn ids<T>(&self, name: &str, from: impl Fn(u64) -> T) -> Result<Vec<T>, String> {
-        let raw = self.get(name)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        raw.split(',')
-            .map(|p| {
-                p.parse::<u64>()
-                    .map(&from)
-                    .map_err(|_| format!("bad id list in {name:?}"))
-            })
-            .collect()
     }
 }
 
@@ -931,6 +915,25 @@ mod tests {
     fn bad_hex_rejected() {
         let image = "oms-image v1\nobject 1 Cell\nattr 1 name text:zz\n";
         assert!(parse(sample_schema(), image).is_err());
+    }
+
+    #[test]
+    fn numbers_and_hex_have_one_spelling() {
+        assert_eq!(dec::<u64>("0"), Some(0));
+        assert_eq!(dec::<u64>("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(dec::<i64>("-5"), Some(-5));
+        for bad in ["", "+5", "05", "00", "-0", "-05", " 5", "5 ", "0x5", "-"] {
+            assert_eq!(dec::<i64>(bad), None, "{bad:?}");
+        }
+        assert_eq!(dec::<u64>("-5"), None);
+        assert_eq!(dec::<u32>("4294967296"), None);
+        assert_eq!(unhex("00ff7a"), Some(vec![0, 255, 0x7a]));
+        for bad in ["FF", "7A", "+f", "0", "zz"] {
+            assert_eq!(unhex(bad), None, "{bad:?}");
+        }
+        let mut out = "x".to_owned();
+        hex_into(&mut out, &[0xab, 0x01]);
+        assert_eq!(out, "xab01");
     }
 
     #[test]

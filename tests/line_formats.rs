@@ -7,6 +7,9 @@
 //! epoch metadata (`epoch.meta`) and the OMS and FMCAD image and delta
 //! records.
 //!
+//! A seeded mutation oracle then bends op and event lines one field at
+//! a time; each mutant must be refused or be canonical.
+//!
 //! Formats that live inside a backup are judged through recovery: one
 //! line of a freshly written backup is replaced (the files that carry
 //! a manifest fingerprint are re-fingerprinted, so only the record is
@@ -16,13 +19,16 @@
 //! (manifest, segment header, envelope, router image, epoch metadata,
 //! FMCAD image) re-render in the `hybrid` crate's own unit tests.
 
+mod samples;
+
 use std::path::Path;
 
 use cad_net::{Request, Response};
 use cad_vfs::{Blob, Vfs, VfsPath};
-use hybrid::{shard_of_name, Engine, Event, Op, ShardedService, ToolOutput};
+use hybrid::{shard_of_name, Engine, Event, HybridError, Op, ShardedService, ToolOutput};
 use jcf::{CellVersionId, ProjectId, VariantId};
 use oms::persist;
+use test_support::SplitMix64;
 
 /// A named line and whether its reader must accept it.
 type Case = (&'static str, String, bool);
@@ -85,6 +91,19 @@ fn hex_path(path: &str) -> String {
     persist::hex(path.as_bytes())
 }
 
+/// `line` with every field value upper-cased; the kind and the keys
+/// stay as they are.
+fn upper_values(line: &str) -> String {
+    line.split('|')
+        .enumerate()
+        .map(|(i, part)| match part.split_once('=') {
+            Some((key, value)) if i > 0 => format!("{key}={}", value.to_uppercase()),
+            _ => part.to_owned(),
+        })
+        .collect::<Vec<_>>()
+        .join("|")
+}
+
 // --- lines that travel on their own -----------------------------------------
 
 #[test]
@@ -97,18 +116,35 @@ fn op_lines() {
     assert_eq!(valid, "create-cell|project=3|name=6164646572");
     let cases: Vec<Case> = vec![
         ("valid", valid.clone(), true),
+        // Refused since the op reader walks the declared fields in
+        // order: one layout per kind, as the writer emits it.
         (
             "reordered",
             "create-cell|name=6164646572|project=3".into(),
-            true,
+            false,
         ),
         (
             "duplicated",
             "create-cell|project=3|project=3|name=6164646572".into(),
-            true,
+            false,
         ),
-        ("added", format!("{valid}|extra=1"), true),
+        ("added", format!("{valid}|extra=1"), false),
         ("dropped", "create-cell|project=3".into(), false),
+        (
+            "signed number",
+            "create-cell|project=+3|name=6164646572".into(),
+            false,
+        ),
+        (
+            "leading zero",
+            "create-cell|project=03|name=6164646572".into(),
+            false,
+        ),
+        (
+            "upper-case hex",
+            "create-cell|project=3|name=7A".into(),
+            false,
+        ),
         ("odd armour", "create-cell|project=3|name=616".into(), false),
         (
             "bad armour",
@@ -142,18 +178,31 @@ fn event_lines() {
     let cases: Vec<Case> = vec![
         ("valid", valid.clone(), true),
         ("valid payload", read, true),
+        // Refused since the event reader walks the declared fields in
+        // order, as for ops.
         (
             "reordered",
             "cell-version-created|variant=4|cv=3".into(),
-            true,
+            false,
         ),
         (
             "duplicated",
             "cell-version-created|cv=3|cv=3|variant=4".into(),
-            true,
+            false,
         ),
-        ("added", format!("{valid}|extra=1"), true),
+        ("added", format!("{valid}|extra=1"), false),
         ("dropped", "cell-version-created|cv=3".into(), false),
+        (
+            "signed number",
+            "cell-version-created|cv=+3|variant=4".into(),
+            false,
+        ),
+        (
+            "leading zero",
+            "cell-version-created|cv=03|variant=4".into(),
+            false,
+        ),
+        ("upper-case hex", "design-data-read|data=6A".into(), false),
         (
             "bad number",
             "cell-version-created|cv=x|variant=4".into(),
@@ -189,6 +238,21 @@ fn wire_requests() {
         ),
         ("added", format!("{valid}|extra=1"), true),
         ("dropped", "hello|version=1".into(), false),
+        (
+            "signed number",
+            "hello|version=+1|user=616c696365".into(),
+            false,
+        ),
+        (
+            "leading zero",
+            "hello|version=01|user=616c696365".into(),
+            false,
+        ),
+        (
+            "upper-case hex",
+            "hello|version=1|user=616C696365".into(),
+            false,
+        ),
         ("odd armour", "hello|version=1|user=616c69636".into(), false),
         ("bad armour", "hello|version=1|user=zz".into(), false),
         // `+1` once decoded to the byte 0x01: the wire had its own,
@@ -221,6 +285,9 @@ fn wire_responses() {
         ("duplicated", "data|id=1|id=1|data=0f41".into(), true),
         ("added", format!("{valid}|extra=1"), true),
         ("dropped", "data|id=1".into(), false),
+        ("signed number", "data|id=+1|data=0f41".into(), false),
+        ("leading zero", "data|id=01|data=0f41".into(), false),
+        ("upper-case hex", "data|id=1|data=0F41".into(), false),
         ("odd armour", "data|id=1|data=0f4".into(), false),
         ("signed armour", "data|id=1|data=+f41".into(), false),
         (
@@ -340,6 +407,10 @@ fn chain_manifest_records() {
             .to_owned()
     };
     let (seq, fp) = (field(&base, "seq"), field(&base, "fp"));
+    assert!(
+        fp.contains(|c: char| c.is_ascii_lowercase()),
+        "{fp} has a letter"
+    );
     let cases: Vec<(&'static str, &str, String, bool)> = vec![
         ("valid", &base, base.clone(), true),
         ("reordered", &base, format!("base|fp={fp}|seq={seq}"), false),
@@ -358,6 +429,24 @@ fn chain_manifest_records() {
             false,
         ),
         ("bad number", &base, format!("base|seq=x|fp={fp}"), false),
+        (
+            "signed number",
+            &base,
+            format!("base|seq=+{seq}|fp={fp}"),
+            false,
+        ),
+        (
+            "leading zero",
+            &base,
+            format!("base|seq=0{seq}|fp={fp}"),
+            false,
+        ),
+        (
+            "upper-case hex",
+            &base,
+            format!("base|seq={seq}|fp={}", fp.to_uppercase()),
+            false,
+        ),
         (
             "duplicated delta key",
             &delta,
@@ -417,6 +506,17 @@ fn segment_headers() {
         ("added", format!("{header}|extra=1"), false),
         ("dropped", format!("@seg|id={id}"), false),
         ("bad number", format!("@seg|id=x|start={start}"), false),
+        (
+            "signed number",
+            format!("@seg|id=+{id}|start={start}"),
+            false,
+        ),
+        (
+            "leading zero",
+            format!("@seg|id=0{id}|start={start}"),
+            false,
+        ),
+        // The header has no armoured field, so no upper-case hex row.
         ("unknown kind", format!("@sag|id={id}|start={start}"), false),
     ];
     let path = chain_path(&name);
@@ -576,6 +676,11 @@ fn oms_image_records() {
         ("object", "object 3 Cell".into(), true),
         ("attr", "attr 1 name text:6869".into(), true),
         ("int attr", "attr 1 size int:5".into(), true),
+        ("negative int attr", "attr 1 size int:-5".into(), true),
+        ("signed int attr", "attr 1 size int:+5".into(), false),
+        ("leading zero int attr", "attr 1 size int:05".into(), false),
+        ("negative zero int attr", "attr 1 size int:-0".into(), false),
+        ("upper-case armour", "attr 1 name text:6A".into(), false),
         ("link", "link uses 1 2".into(), true),
         ("delta-only next", "next 5".into(), false),
         ("delta-only del", "del 2".into(), false),
@@ -700,6 +805,19 @@ fn envelope_records() {
         panic!("prepare layout {prep_head:?}");
     };
     let a: u64 = pa.strip_prefix("a=").unwrap().parse().unwrap();
+    // An op record whose armour holds a letter, so upper case differs.
+    let (lettered_path, lettered) = (0..2)
+        .map(|shard| epoch_path(&format!("shard-{shard}.log")))
+        .flat_map(|path| {
+            let lines: Vec<String> = text(&disk, &path).lines().map(str::to_owned).collect();
+            lines.into_iter().map(move |line| (path.clone(), line))
+        })
+        .find(|(_, line)| {
+            line.split_once("|line=")
+                .is_some_and(|(head, op)| head.starts_with("op|") && upper_values(op) != op)
+        })
+        .expect("an op record with a hex letter");
+    let (lettered_head, lettered_op) = lettered.split_once("|line=").unwrap();
     let cases: Vec<(&'static str, &VfsPath, &str, String, bool)> = vec![
         ("valid op", &op_path, &op, op.clone(), true),
         ("valid prepare", &prep_path, &prep, prep.clone(), true),
@@ -733,6 +851,27 @@ fn envelope_records() {
             &op_path,
             &op,
             format!("op|seq=x|line={op_line}"),
+            false,
+        ),
+        (
+            "signed number",
+            &op_path,
+            &op,
+            format!("op|seq=+{seq}|line={op_line}"),
+            false,
+        ),
+        (
+            "leading zero",
+            &op_path,
+            &op,
+            format!("op|seq=0{seq}|line={op_line}"),
+            false,
+        ),
+        (
+            "upper-case hex",
+            &lettered_path,
+            &lettered,
+            format!("{lettered_head}|line={}", upper_values(lettered_op)),
             false,
         ),
         (
@@ -806,6 +945,7 @@ fn router_image_records() {
     let [_, idx, shard, name] = fields[..] else {
         panic!("part layout {part:?}");
     };
+    assert_ne!(upper_values(&part), part, "the name has a hex letter");
     let cases: Vec<(&'static str, &str, String, bool)> = vec![
         ("valid", &part, part.clone(), true),
         (
@@ -840,6 +980,19 @@ fn router_image_records() {
             format!("part|idx=x|{shard}|{name}"),
             false,
         ),
+        (
+            "signed number",
+            &part,
+            format!("part|idx=+{}|{shard}|{name}", &idx[4..]),
+            false,
+        ),
+        (
+            "leading zero",
+            &part,
+            format!("part|idx=0{}|{shard}|{name}", &idx[4..]),
+            false,
+        ),
+        ("upper-case hex", &part, upper_values(&part), false),
         ("field without =", &part, format!("{part}|extra"), false),
         (
             "other version",
@@ -882,6 +1035,20 @@ fn epoch_meta_records() {
         ("added", &eng, format!("{eng}|extra=1"), false),
         ("dropped", &eng, format!("engseq|{shard}"), false),
         ("bad number", &eng, format!("engseq|shard=x|{seq}"), false),
+        (
+            "signed number",
+            &eng,
+            format!("engseq|shard=+{}|{seq}", &shard[6..]),
+            false,
+        ),
+        (
+            "leading zero",
+            &eng,
+            format!("engseq|shard=0{}|{seq}", &shard[6..]),
+            false,
+        ),
+        // The epoch records have no armoured field, so no upper-case
+        // hex row.
         (
             "shard out of range",
             &eng,
@@ -994,4 +1161,122 @@ fn fixture_records_re_render_byte_for_byte() {
         }
     }
     assert!(ops > 0, "the fixture's envelope logs carry ops");
+}
+
+// --- the mutation oracle ----------------------------------------------------
+
+/// The op lines both fixtures hold: segment entries and the lines of
+/// envelope records.
+fn fixture_op_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    let mut segments = |fs: &Vfs, dir: VfsPath| {
+        for name in fs.read_dir(&dir).unwrap() {
+            if name.starts_with("seg-") {
+                let body = text(fs, &dir.join(&name).unwrap());
+                lines.extend(body.lines().skip(2).map(str::to_owned));
+            }
+        }
+    };
+    let (fs, root) = fixture("engine_chain_v1");
+    segments(&fs, root.join("chain").unwrap());
+    let (fs, root) = fixture("sharded_backup_with_op_segments");
+    for shard in 0..2 {
+        segments(&fs, root.join(&format!("shard-{shard}")).unwrap());
+    }
+    for epoch in 1..=3 {
+        for shard in 0..2 {
+            let path = root
+                .join(&format!("ck-{epoch}"))
+                .unwrap()
+                .join(&format!("shard-{shard}.log"))
+                .unwrap();
+            if fs.exists(&path) {
+                lines.extend(
+                    text(&fs, &path)
+                        .lines()
+                        .filter_map(|l| Some(l.split_once("|line=")?.1.to_owned())),
+                );
+            }
+        }
+    }
+    lines
+}
+
+/// One seeded edit of one field of a `kind|key=value|...` line: a sign
+/// or a leading zero before its value, its value in upper case, a swap
+/// with another field, a duplicate, a drop, or a new field beside it.
+fn mutate(line: &str, rng: &mut SplitMix64) -> String {
+    let mut parts: Vec<String> = line.split('|').map(str::to_owned).collect();
+    let fields = parts.len() - 1;
+    let edit = if fields == 0 { 6 } else { rng.below(7) };
+    let at = 1 + rng.below(fields.max(1));
+    let value = |parts: &mut Vec<String>, f: &dyn Fn(&str) -> String| {
+        let (key, value) = parts[at].split_once('=').expect("key=value");
+        parts[at] = format!("{key}={}", f(value));
+    };
+    match edit {
+        0 => {
+            let sign = if rng.chance(1, 2) { '+' } else { '-' };
+            value(&mut parts, &|v| format!("{sign}{v}"));
+        }
+        1 => value(&mut parts, &|v| format!("0{v}")),
+        2 => value(&mut parts, &str::to_uppercase),
+        3 => parts.swap(at, 1 + rng.below(fields)),
+        4 => parts.insert(at, parts[at].clone()),
+        5 => drop(parts.remove(at)),
+        _ => parts.insert(1 + rng.below(fields + 1), "extra=0".to_owned()),
+    }
+    parts.join("|")
+}
+
+/// Mutates every line `per_line` times and collects each mutant that is
+/// neither refused as a journal error nor rendered back to its own
+/// bytes.
+fn misread<T>(
+    lines: &[String],
+    per_line: usize,
+    rng: &mut SplitMix64,
+    parse: impl Fn(&str) -> Result<T, HybridError>,
+    render: impl Fn(&T) -> String,
+) -> Vec<String> {
+    let mut wrong = Vec::new();
+    for line in lines {
+        for _ in 0..per_line {
+            let mutant = mutate(line, rng);
+            match parse(&mutant) {
+                Err(HybridError::Journal(_)) => {}
+                Err(other) => wrong.push(format!("{mutant:?}: not a journal error: {other}")),
+                Ok(value) if render(&value) == mutant => {}
+                Ok(value) => wrong.push(format!("{mutant:?} reads as {:?}", render(&value))),
+            }
+        }
+    }
+    wrong
+}
+
+#[test]
+fn mutated_op_and_event_lines_are_refused_or_canonical() {
+    let mut rng = SplitMix64::new(0x5eed_c0de);
+    let mut ops: Vec<String> = samples::op_samples().iter().map(Op::to_line).collect();
+    let fixture_ops = fixture_op_lines();
+    assert!(fixture_ops.len() > 20, "the fixtures carry op lines");
+    ops.extend(fixture_ops);
+    let events: Vec<String> = samples::event_samples()
+        .iter()
+        .map(Event::to_line)
+        .collect();
+    let mut wrong = misread(&ops, 8, &mut rng, Op::parse_line, Op::to_line);
+    wrong.extend(misread(
+        &events,
+        8,
+        &mut rng,
+        Event::parse_line,
+        Event::to_line,
+    ));
+    assert!(
+        wrong.is_empty(),
+        "{} mutant(s) misread:\n{}",
+        wrong.len(),
+        wrong[..wrong.len().min(20)].join("\n")
+    );
 }

@@ -301,45 +301,32 @@ fn an_op_with_a_malformed_embedded_line_is_a_protocol_error_not_a_crash() {
     server.shutdown();
 }
 
-/// Hex armour is strict: a pair written `+x` is not the byte `0x`. An
-/// op line with an ignored extra field whose value is a tab is a
-/// valid op; its armour carries the one `09` pair, and the same frame
-/// with that pair spelled `+9` must be refused before anything runs.
+/// Hex armour is strict: a pair written `+x` is not the byte `0x`.
+/// Op lines hold printable text only (every op field is declared and
+/// an extra one is refused), so the control-byte pair this needs rides
+/// in a hello's free-text user name. Unaltered, the name
+/// `framework-admin<tab>` is merely unknown (`auth`); with its `09`
+/// pair spelled `+9` the frame itself is malformed (`proto`). A reader
+/// that took the sign for a zero would answer `auth` to both.
 #[test]
-fn an_op_armour_with_a_sign_in_place_of_a_zero_digit_is_refused() {
+fn a_hello_armour_with_a_sign_in_place_of_a_zero_digit_is_refused() {
     let service = Service::new(Engine::builder().build());
     let control = Service::new(Engine::builder().build());
     let mut server = serve(service.clone());
 
-    let line = format!(
-        "{}|pad=\t",
-        Op::CreateProject {
-            name: "signed".into()
-        }
-        .to_line()
-    );
-    let armour: String = line.bytes().map(|b| format!("{b:02x}")).collect();
-    assert!(
-        matches!(
-            Request::parse(&format!("op|id=1|op={armour}")),
-            Ok(Request::Op { .. })
-        ),
-        "the unaltered armour is a valid op"
-    );
+    let armour: String = format!("{ADMIN}\t")
+        .bytes()
+        .map(|b| format!("{b:02x}"))
+        .collect();
     let signed = format!("{}+9", armour.strip_suffix("09").expect("tab pair last"));
-
-    let mut stream = raw_connect(&server);
-    write_frame(
-        &mut stream,
-        "hello|version=1|user=6672616d65776f726b2d61646d696e",
-    )
-    .expect("hello");
-    let _ = read_frame(&mut stream, MAX_FRAME).expect("welcome");
-    write_frame(&mut stream, &format!("op|id=1|op={signed}")).expect("signed op");
-    let payload = read_frame(&mut stream, MAX_FRAME).expect("a reply");
-    match Response::parse(&payload).expect("parseable reply") {
-        Response::Err { code, .. } => assert_eq!(code, "proto"),
-        other => panic!("expected err|code=proto, got {other:?}"),
+    for (user, expected) in [(armour, "auth"), (signed, "proto")] {
+        let mut stream = raw_connect(&server);
+        write_frame(&mut stream, &format!("hello|version=1|user={user}")).expect("hello");
+        let payload = read_frame(&mut stream, MAX_FRAME).expect("a reply");
+        match Response::parse(&payload).expect("parseable reply") {
+            Response::Err { code, .. } => assert_eq!(code, expected, "user armour {user}"),
+            other => panic!("expected err|code={expected}, got {other:?}"),
+        }
     }
 
     wait_for_drain(&server);

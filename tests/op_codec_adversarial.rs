@@ -1,56 +1,24 @@
-//! Exhaustive adversarial round-trip suite for the [`Op`] line codec.
+//! Exhaustive adversarial round-trip suite for the [`Op`] and [`Event`]
+//! line codecs.
 //!
 //! The ops journal is the persistence format of the command core: every
-//! mutation survives restarts only as its `Op::to_line` form. This
-//! suite drives every variant through the codec with payloads chosen to
-//! break a `kind|key=value|...` line format — empty strings, the
-//! codec's own separators (`|`, `=`, `;`, `:`, `,`), its `-` none
-//! sentinel, newlines, control bytes, non-UTF-8 blobs — and checks the
-//! parsed value is identical and the encoded form stays a single line.
+//! mutation survives restarts only as its `Op::to_line` form, and every
+//! committed event reaches a wire client only as its `Event::to_line`
+//! form. This suite drives every variant of both through the codec with
+//! payloads chosen to break a `kind|key=value|...` line format — empty
+//! strings, the codec's own separators (`|`, `=`, `;`, `:`, `,`), its
+//! `-` none sentinel, newlines, control bytes, non-UTF-8 blobs — and
+//! checks the parsed value is identical and the encoded form stays a
+//! single line.
 
-use jcf_fmcad::cad_tools::ToolKind;
-use jcf_fmcad::cad_vfs::Blob;
-use jcf_fmcad::hybrid::{FutureFeatures, Op, StagingMode};
-use jcf_fmcad::jcf::{
-    ActivityId, CellId, CellVersionId, ConfigId, ConfigVersionId, DesignObjectId, DovId, FlowId,
-    ProjectId, TeamId, ToolId, UserId, VariantId, ViewTypeId,
-};
+mod samples;
 
-/// Strings hostile to the line format: separators, sentinels, blank,
-/// newline-bearing, control bytes, multi-byte UTF-8, and a long
-/// hex-shaped decoy.
-fn nasty_strings() -> Vec<String> {
-    vec![
-        String::new(),
-        " ".to_owned(),
-        "a|b=c".to_owned(),
-        "line\nbreak\r\nmore".to_owned(),
-        "semi;colon:pair,comma".to_owned(),
-        "-".to_owned(),
-        "naïve-φλοω-💡".to_owned(),
-        "\u{0}\u{1}\u{7f}control".to_owned(),
-        "0123456789abcdef".repeat(16),
-    ]
-}
-
-/// Payloads hostile to the hex armour: empty, single byte, every byte
-/// value (not valid UTF-8), embedded separators, and a large run.
-fn nasty_blobs() -> Vec<Blob> {
-    vec![
-        Blob::new(),
-        vec![0u8].into(),
-        (0u8..=255).collect::<Vec<_>>().into(),
-        b"line\nbreak|field=value;pair:sep".to_vec().into(),
-        vec![0xff; 4096].into(),
-    ]
-}
-
-/// Boundary id values: the codec must not treat any of them specially.
-const IDS: [u64; 3] = [0, 1, u64::MAX];
+use jcf_fmcad::hybrid::{Event, Op};
+use samples::{event_samples, op_samples};
 
 /// Compile-time exhaustiveness guard: this match has no wildcard arm,
-/// so adding an `Op` variant fails compilation here until `samples`
-/// below covers the new variant too.
+/// so adding an `Op` variant fails compilation here until `op_samples`
+/// covers the new variant too.
 fn assert_sampled(op: &Op) {
     match op {
         Op::AddUser { .. }
@@ -96,272 +64,18 @@ fn assert_sampled(op: &Op) {
     }
 }
 
-/// The number of distinct op kinds `samples` must produce — bump this
+/// The number of distinct op kinds `op_samples` must produce — bump this
 /// together with `assert_sampled` when the vocabulary grows.
 const OP_KIND_COUNT: usize = 40;
 
-/// Every `Op` variant instantiated with every nasty string, blob and
-/// boundary id that fits its shape.
-fn samples() -> Vec<Op> {
-    let mut ops = Vec::new();
-
-    for raw in IDS {
-        let user = UserId::from_raw(raw);
-        let team = TeamId::from_raw(raw);
-        ops.push(Op::AddTeamMember {
-            actor: user,
-            team,
-            user,
-        });
-        ops.push(Op::FreezeFlow {
-            actor: user,
-            flow: FlowId::from_raw(raw),
-        });
-        ops.push(Op::CreateCellVersion {
-            cell: CellId::from_raw(raw),
-            flow: FlowId::from_raw(raw),
-            team,
-        });
-        ops.push(Op::DeclareCompOf {
-            user,
-            cv: CellVersionId::from_raw(raw),
-            child: CellId::from_raw(raw),
-        });
-        ops.push(Op::ShareCell {
-            actor: user,
-            cell: CellId::from_raw(raw),
-        });
-        ops.push(Op::PromoteVariant {
-            user,
-            winner: VariantId::from_raw(raw),
-        });
-        ops.push(Op::Reserve {
-            user,
-            cv: CellVersionId::from_raw(raw),
-        });
-        ops.push(Op::Publish {
-            user,
-            cv: CellVersionId::from_raw(raw),
-        });
-        ops.push(Op::MarkEquivalent {
-            a: DovId::from_raw(raw),
-            b: DovId::from_raw(raw.wrapping_add(1)),
-        });
-        ops.push(Op::Browse {
-            user,
-            dov: DovId::from_raw(raw),
-        });
-        ops.push(Op::ReadDesignData {
-            user,
-            dov: DovId::from_raw(raw),
-        });
-        ops.push(Op::RunLvs {
-            user,
-            variant: VariantId::from_raw(raw),
-        });
-    }
-
-    for name in nasty_strings() {
-        let actor = UserId::from_raw(7);
-        for manager in [false, true] {
-            ops.push(Op::AddUser {
-                name: name.clone(),
-                manager,
-            });
-        }
-        ops.push(Op::AddTeam {
-            actor,
-            name: name.clone(),
-        });
-        for kind in [
-            ToolKind::SchematicEntry,
-            ToolKind::LayoutEditor,
-            ToolKind::Simulator,
-            ToolKind::Framework,
-        ] {
-            ops.push(Op::RegisterViewtype {
-                name: name.clone(),
-                application: kind,
-            });
-            ops.push(Op::RegisterTool {
-                name: name.clone(),
-                kind,
-            });
-        }
-        ops.push(Op::DefineStandardFlow { name: name.clone() });
-        ops.push(Op::DefineQualityGatedFlow { name: name.clone() });
-        ops.push(Op::DefineFlow {
-            actor,
-            name: name.clone(),
-        });
-        ops.push(Op::AddActivity {
-            actor,
-            flow: FlowId::from_raw(9),
-            name: name.clone(),
-            tool: ToolId::from_raw(4),
-            needs: vec![],
-            creates: vec![ViewTypeId::from_raw(0), ViewTypeId::from_raw(u64::MAX)],
-            predecessors: vec![ActivityId::from_raw(7)],
-        });
-        ops.push(Op::CreateProject { name: name.clone() });
-        ops.push(Op::CreateCell {
-            project: ProjectId::from_raw(11),
-            name: name.clone(),
-        });
-        for base in [None, Some(VariantId::from_raw(14))] {
-            ops.push(Op::DeriveVariant {
-                user: actor,
-                cv: CellVersionId::from_raw(13),
-                name: name.clone(),
-                base,
-            });
-        }
-        ops.push(Op::CreateDesignObject {
-            user: actor,
-            variant: VariantId::from_raw(14),
-            name: name.clone(),
-            viewtype: ViewTypeId::from_raw(5),
-        });
-        ops.push(Op::CreateConfiguration {
-            user: actor,
-            cv: CellVersionId::from_raw(13),
-            name: name.clone(),
-        });
-        ops.push(Op::CreateConfigVersion {
-            user: actor,
-            config: ConfigId::from_raw(19),
-            contents: vec![DovId::from_raw(0), DovId::from_raw(u64::MAX)],
-        });
-        ops.push(Op::ExportConfig {
-            user: actor,
-            config_version: ConfigVersionId::from_raw(20),
-            dest: name.clone(),
-        });
-        ops.push(Op::ImportLibrary {
-            actor,
-            library: name.clone(),
-            flow: FlowId::from_raw(9),
-            team: TeamId::from_raw(2),
-        });
-        ops.push(Op::FmcadCreateLibrary { name: name.clone() });
-        ops.push(Op::FmcadCreateCell {
-            library: name.clone(),
-            cell: name.clone(),
-        });
-        ops.push(Op::FmcadCreateCellview {
-            library: name.clone(),
-            cell: name.clone(),
-            view: name.clone(),
-            viewtype: name.clone(),
-        });
-        ops.push(Op::FmcadCheckout {
-            user: name.clone(),
-            library: name.clone(),
-            cell: name.clone(),
-            view: name.clone(),
-        });
-        ops.push(Op::FmcadPurgeVersion {
-            user: name.clone(),
-            library: name.clone(),
-            cell: name.clone(),
-            view: name.clone(),
-            version: u32::MAX,
-        });
-        // A failed tool session whose rendered error is itself nasty.
-        ops.push(Op::RunActivity {
-            user: actor,
-            variant: VariantId::from_raw(14),
-            activity: ActivityId::from_raw(7),
-            override_pending: false,
-            outputs: vec![],
-            session_error: Some(name.clone()),
-        });
-    }
-
-    for data in nasty_blobs() {
-        let user = UserId::from_raw(3);
-        ops.push(Op::AddDesignObjectVersion {
-            user,
-            design_object: DesignObjectId::from_raw(16),
-            data: data.clone(),
-        });
-        ops.push(Op::FmcadCheckin {
-            user: "u|=;".to_owned(),
-            library: String::new(),
-            cell: "c\n".to_owned(),
-            view: "v".to_owned(),
-            data: data.clone(),
-        });
-        ops.push(Op::FmcadDirectWrite {
-            library: "lib".to_owned(),
-            cell: "c".to_owned(),
-            view: "v".to_owned(),
-            version: 0,
-            data: data.clone(),
-        });
-        // A merge with boundary baselines and this payload staged,
-        // plus an empty-baseline merge.
-        ops.push(Op::MergeForward {
-            user,
-            cv: CellVersionId::from_raw(13),
-            base_seq: u64::MAX,
-            expected: vec![
-                (DesignObjectId::from_raw(0), 0),
-                (DesignObjectId::from_raw(u64::MAX), u32::MAX),
-            ],
-            writes: vec![
-                (DesignObjectId::from_raw(16), data.clone()),
-                (DesignObjectId::from_raw(17), Blob::new()),
-            ],
-        });
-        ops.push(Op::MergeForward {
-            user,
-            cv: CellVersionId::from_raw(13),
-            base_seq: 0,
-            expected: vec![],
-            writes: vec![],
-        });
-        // Multi-output activity pairing every nasty viewtype name with
-        // this payload, plus an empty trailing output.
-        ops.push(Op::RunActivity {
-            user,
-            variant: VariantId::from_raw(14),
-            activity: ActivityId::from_raw(7),
-            override_pending: true,
-            outputs: nasty_strings()
-                .into_iter()
-                .map(|view| (view, data.clone()))
-                .chain(std::iter::once(("".to_owned(), Blob::new())))
-                .collect(),
-            session_error: None,
-        });
-    }
-
-    for features in [
-        FutureFeatures::default(),
-        FutureFeatures::all(),
-        FutureFeatures {
-            procedural_interface: true,
-            ..FutureFeatures::default()
-        },
-    ] {
-        ops.push(Op::SetFutureFeatures { features });
-    }
-    for mode in [StagingMode::ZeroCopy, StagingMode::DeepCopy] {
-        ops.push(Op::SetStagingMode { mode });
-    }
-
-    ops
-}
-
 #[test]
 fn every_variant_round_trips_adversarial_payloads() {
-    let ops = samples();
+    let ops = op_samples();
     let kinds: std::collections::BTreeSet<&str> = ops.iter().map(Op::kind_name).collect();
     assert_eq!(
         kinds.len(),
         OP_KIND_COUNT,
-        "samples() must cover every op kind; missing or extra: {kinds:?}"
+        "op_samples() must cover every op kind; missing or extra: {kinds:?}"
     );
     for op in &ops {
         assert_sampled(op);
@@ -379,7 +93,7 @@ fn every_variant_round_trips_adversarial_payloads() {
 fn a_journal_document_round_trips_in_order() {
     // The journal persists as newline-joined lines; the adversarial
     // payloads above must not break document framing or order.
-    let ops = samples();
+    let ops = op_samples();
     let doc = ops.iter().map(Op::to_line).collect::<Vec<_>>().join("\n");
     let back: Vec<Op> = doc
         .lines()
@@ -429,12 +143,101 @@ fn truncating_any_encoded_line_never_panics() {
     // cleanly (or, for a lucky prefix, parse to *some* op) but never
     // panic on torn journal tails after a crash. Short lines get every
     // cut; long ones a stride, to keep the suite fast.
-    for op in samples() {
+    for op in op_samples() {
         let line = op.to_line();
         let stride = (line.len() / 257).max(1);
         for cut in (0..line.len()).step_by(stride) {
             if line.is_char_boundary(cut) {
                 let _ = Op::parse_line(&line[..cut]);
+            }
+        }
+    }
+}
+
+/// The event twin of [`assert_sampled`]: no wildcard arm, so a new
+/// `Event` variant fails compilation here until `event_samples` covers
+/// it.
+fn assert_event_sampled(event: &Event) {
+    match event {
+        Event::UserAdded(_)
+        | Event::TeamAdded(_)
+        | Event::TeamMemberAdded(..)
+        | Event::ViewtypeRegistered(_)
+        | Event::ToolRegistered(_)
+        | Event::StandardFlowDefined(_)
+        | Event::QualityGatedFlowDefined(_)
+        | Event::FlowDefined(_)
+        | Event::ActivityAdded(_)
+        | Event::FlowFrozen(_)
+        | Event::ProjectCreated(_)
+        | Event::CellCreated(_)
+        | Event::CellVersionCreated(..)
+        | Event::VariantDerived(_)
+        | Event::CompOfDeclared(..)
+        | Event::CellShared(_)
+        | Event::VariantPromoted(..)
+        | Event::Reserved(_)
+        | Event::Published(_)
+        | Event::DesignObjectCreated(_)
+        | Event::DovAdded(_)
+        | Event::MarkedEquivalent(..)
+        | Event::MergeApplied { .. }
+        | Event::MergeConflict { .. }
+        | Event::ActivityRun { .. }
+        | Event::Browsed { .. }
+        | Event::DesignDataRead { .. }
+        | Event::ConfigurationCreated(_)
+        | Event::ConfigVersionCreated(_)
+        | Event::ConfigExported(_)
+        | Event::LvsRun(_)
+        | Event::FutureFeaturesSet
+        | Event::StagingModeSet
+        | Event::LibraryImported(..)
+        | Event::FmcadLibraryCreated
+        | Event::FmcadCellCreated
+        | Event::FmcadCellviewCreated
+        | Event::FmcadCheckedOut { .. }
+        | Event::FmcadCheckedIn { .. }
+        | Event::FmcadVersionPurged
+        | Event::FmcadFileWritten => {}
+    }
+}
+
+/// The number of distinct event kinds `event_samples` must produce —
+/// bump this together with `assert_event_sampled`.
+const EVENT_KIND_COUNT: usize = 41;
+
+#[test]
+fn every_event_variant_round_trips_adversarial_payloads() {
+    let events = event_samples();
+    let kinds: std::collections::BTreeSet<&str> = events.iter().map(Event::kind_name).collect();
+    assert_eq!(
+        kinds.len(),
+        EVENT_KIND_COUNT,
+        "event_samples() must cover every event kind; missing or extra: {kinds:?}"
+    );
+    for event in &events {
+        assert_event_sampled(event);
+        let line = event.to_line();
+        assert!(
+            !line.contains('\n') && !line.contains('\r'),
+            "event lines must stay single-line: {line:?}"
+        );
+        let back = Event::parse_line(&line).expect("encoded line parses");
+        assert_eq!(&back, event, "round trip of {line:?}");
+    }
+}
+
+#[test]
+fn truncating_any_encoded_event_line_never_panics() {
+    // A wire client parses `event=` from the network: every prefix must
+    // fail cleanly (or parse to *some* event), never panic.
+    for event in event_samples() {
+        let line = event.to_line();
+        let stride = (line.len() / 257).max(1);
+        for cut in (0..line.len()).step_by(stride) {
+            if line.is_char_boundary(cut) {
+                let _ = Event::parse_line(&line[..cut]);
             }
         }
     }
